@@ -7,7 +7,6 @@ least-squares verifier, classification of vanishing-permanent sign
 matrices up to equivalence, and PPT edge-state rank analysis.
 """
 
-from ._backend import BACKEND
 from .mpstate import (
     DensityMatrix,
     EdgeReport,
@@ -60,6 +59,8 @@ from .solver import (
 from .truncpoly import TruncatedPolynomial, coefficient_direct, expand_product
 
 __version__ = "0.1.0"
+# Name of the permanent kernels, reported by ``--version``.
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

@@ -35,8 +35,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import mpstate, signmat, solvability, solver
-from ._backend import BACKEND, batch_permanent
+from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
 SCHEMA = "prodvec-report/1"
@@ -343,8 +342,8 @@ def _cmd_survey(args) -> list[str]:
     Exploration plumbing only; no asymptotic claims are made or checked.
     """
     n, samples = args.n, args.samples
-    if n > 13:
-        raise UnsupportedSizeError("survey supports n <= 13")
+    if n > signmat.MAX_INT64_N:
+        raise UnsupportedSizeError(f"survey supports n <= {signmat.MAX_INT64_N}")
     if samples < 1:
         raise ValueError("--samples must be positive")
     rng = np.random.Generator(np.random.Philox(key=[args.seed & (2**64 - 1), 0]))
@@ -355,7 +354,7 @@ def _cmd_survey(args) -> list[str]:
     while done < samples:
         b = min(chunk, samples - done)
         mats = (2 * rng.integers(0, 2, size=(b, n, n)) - 1).astype(np.int8)
-        for p in batch_permanent(mats):
+        for p in signmat.batch_permanent(mats):
             a = abs(int(p))
             hist[a] = hist.get(a, 0) + 1
             if a == 0:
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         " permanents, and PPT edge-state analysis",
     )
     parser.add_argument(
-        "--version", action="version", version=f"prodvec 0.1.0 (kernels: {BACKEND})"
+        "--version", action="version", version=f"prodvec {__version__} (kernels: {BACKEND})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .errors import ParseError, UnsupportedSizeError
 
 PERMANENT_MAX_N = 24
+# int64 Ryser accumulators are provably overflow-free only while
+# 2^n * n^n < 2^63; the batched kernel refuses larger matrices.
+MAX_INT64_N = 13
 NAIVE_MAX_N = 9
 ADDITION_MAX_N = 8
 CANONICAL_MAX_SIZE = 5
@@ -167,9 +169,34 @@ def permanent(m: SignMatrix) -> int:
     n = m.rows
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent supports n <= {PERMANENT_MAX_N}")
-    if n <= _backend.MAX_INT64_N:
-        return int(_backend.ryser_permanent(m.to_numpy()))
     return _ryser_bigint(m.entries)
+
+
+def batch_permanent(mats: np.ndarray) -> np.ndarray:
+    """Permanents of a (B, n, n) int batch; exact while n <= MAX_INT64_N."""
+    mats = np.asarray(mats, dtype=np.int64)
+    b, n, n2 = mats.shape
+    if n != n2:
+        raise ValueError("matrices must be square")
+    if n > MAX_INT64_N:
+        raise ValueError(f"int64 kernel limited to n <= {MAX_INT64_N}")
+    rowsums = np.zeros((b, n), dtype=np.int64)
+    total = np.zeros(b, dtype=np.int64)
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        gray = k ^ (k >> 1)
+        if gray & (1 << j):
+            rowsums += mats[:, :, j]
+        else:
+            rowsums -= mats[:, :, j]
+        prod = rowsums.prod(axis=1)
+        if gray.bit_count() & 1:
+            total -= prod
+        else:
+            total += prod
+    if n & 1:
+        np.negative(total, out=total)
+    return total
 
 
 def permanent_naive(m: SignMatrix) -> int:
@@ -508,7 +535,12 @@ def reduce_minus(m: SignMatrix) -> SignMatrix | None:
 
 
 def encode_pattern(m: SignMatrix) -> int:
-    """Pack a square matrix into an int; integer order == canonical entry order."""
+    """Pack a square n x n matrix into an int.
+
+    Bit (n*n - 1 - (n*i + j)) is set iff entry (i, j) is +1, so comparing
+    encoded ints orders matrices by their row-major entry sequence with
+    -1 < +1, which is the canonical-form ordering.
+    """
     n = m.cols
     p = 0
     for i, row in enumerate(m.entries):
@@ -525,6 +557,50 @@ def decode_pattern(p: int, n: int) -> SignMatrix:
             for i in range(n)
         )
     )
+
+
+def _decode_batch(patterns: np.ndarray, n: int) -> np.ndarray:
+    """Unpack encoded patterns into (B, n, n) +-1 matrices."""
+    shifts = (n * n - 1 - np.arange(n * n, dtype=np.int64)).reshape(n, n)
+    bits = (patterns[:, None, None] >> shifts[None, :, :]) & 1
+    return (2 * bits - 1).astype(np.int64)
+
+
+def _inner_to_full(inner: np.ndarray, n: int) -> np.ndarray:
+    """Embed (n-1)^2-bit interior patterns into full patterns with +1 first row/column."""
+    full = np.zeros(inner.shape, dtype=np.int64)
+    for i in range(1, n):
+        for j in range(1, n):
+            src = (n - 1) * (n - 1) - 1 - ((i - 1) * (n - 1) + (j - 1))
+            dst = n * n - 1 - (i * n + j)
+            full |= ((inner >> src) & 1) << dst
+    top = 0
+    for j in range(n):
+        top |= 1 << (n * n - 1 - j)
+    for i in range(n):
+        top |= 1 << (n * n - 1 - i * n)
+    return full | top
+
+
+def find_vanishing(n: int, normalized: bool) -> np.ndarray:
+    """Encoded patterns of all n x n sign matrices with permanent zero.
+
+    Exhaustive mode sweeps all 2^(n^2) matrices; normalized mode fixes the
+    first row and column to +1 and sweeps the 2^((n-1)^2) interior
+    patterns.  Returns a sorted int64 array of full-matrix encodings.
+    """
+    bits = (n - 1) * (n - 1) if normalized else n * n
+    total = 1 << bits
+    chunk = 1 << 16
+    found = []
+    for start in range(0, total, chunk):
+        raw = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        patterns = _inner_to_full(raw, n) if normalized else raw
+        per = batch_permanent(_decode_batch(patterns, n))
+        found.append(patterns[per == 0])
+    out = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    out.sort()
+    return out
 
 
 def _orbit(start: int, n: int) -> set[int]:
@@ -571,12 +647,14 @@ def classify_vanishing(
     by negations alone) and sweeps the remaining (n-1)^2 entries; it is
     complete for existence but not for class counting, and ``budget``
     caps the number of vanishing matrices collected before
-    deduplication (None or 0 means no cap).
+    deduplication (None or 0 means no cap).  At n = 6 a budget is
+    required: uncapped, the search would canonicalize millions of
+    vanishing matrices at about 0.7 s each.
     """
     if mode == "exhaustive":
         if n > 4:
             raise UnsupportedSizeError("exhaustive classification supports n <= 4")
-        patterns = set(int(p) for p in _backend.find_vanishing(n, False))
+        patterns = set(int(p) for p in find_vanishing(n, False))
         reps = []
         while patterns:
             orbit = _orbit(next(iter(patterns)), n)
@@ -585,7 +663,9 @@ def classify_vanishing(
     elif mode == "normalized-search":
         if n > 6:
             raise UnsupportedSizeError("normalized search supports n <= 6")
-        found = _backend.find_vanishing(n, True)
+        if n == 6 and not budget:
+            raise UnsupportedSizeError("normalized search at n = 6 requires a budget")
+        found = find_vanishing(n, True)
         if budget:
             found = found[:budget]
         reps = list(

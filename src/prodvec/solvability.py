@@ -93,10 +93,24 @@ def counts(spec: ProblemSpec) -> tuple[int, int]:
     return n_e, n_u
 
 
-def _pair_key(subset: frozenset[int], n: int) -> tuple[int, ...]:
-    s = tuple(sorted(subset))
-    comp = tuple(j for j in range(1, n + 1) if j not in subset)
-    return min(s, comp)
+def parallel_groups(
+    subsets: Sequence[frozenset[int]], n: int
+) -> list[tuple[frozenset[int], list[int]]]:
+    """Group the indices of equal or complementary subsets of parties 1..n.
+
+    Groups come in order of first appearance.  Each carries the
+    lexicographically smallest sorted subset among its members: the one
+    a merged constraint keeps.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, subset in enumerate(subsets):
+        s = tuple(sorted(subset))
+        comp = tuple(j for j in range(1, n + 1) if j not in subset)
+        groups.setdefault(min(s, comp), []).append(idx)
+    return [
+        (frozenset(min((subsets[i] for i in members), key=sorted)), members)
+        for members in groups.values()
+    ]
 
 
 def reduce(spec: ProblemSpec) -> ProblemSpec:
@@ -108,23 +122,11 @@ def reduce(spec: ProblemSpec) -> ProblemSpec:
     space).  The result has pairwise non-parallel subsets and is a fixed
     point of this function.
     """
-    n = spec.n_parties
     full = math.prod(spec.dims)
-    order: list[tuple[int, ...]] = []
-    subsets: dict[tuple[int, ...], frozenset[int]] = {}
-    codims: dict[tuple[int, ...], int] = {}
-    for c in spec.constraints:
-        key = _pair_key(c.subset, n)
-        if key not in subsets:
-            order.append(key)
-            subsets[key] = c.subset
-            codims[key] = c.codim
-        else:
-            if tuple(sorted(c.subset)) < tuple(sorted(subsets[key])):
-                subsets[key] = c.subset
-            codims[key] += c.codim
+    cons = spec.constraints
     merged = tuple(
-        Constraint(subsets[key], min(codims[key], full)) for key in order
+        Constraint(subset, min(sum(cons[i].codim for i in members), full))
+        for subset, members in parallel_groups([c.subset for c in cons], spec.n_parties)
     )
     return ProblemSpec(spec.dims, merged)
 

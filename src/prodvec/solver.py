@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvability import ProblemSpec, generic_count, problem_spec
+from .solvability import ProblemSpec, generic_count, parallel_groups, problem_spec
 
 _PHASE_EPS = 1e-12
 
@@ -147,28 +147,16 @@ def reduce_instance(
     merged complement basis is re-orthonormalized, with its rank as the
     new codimension.
     """
-    n = len(dims)
-    order: list[tuple[int, ...]] = []
-    groups: dict[tuple[int, ...], list[SubspaceConstraint]] = {}
-    for c in constraints:
-        s = tuple(sorted(c.subset))
-        comp = tuple(j for j in range(1, n + 1) if j not in c.subset)
-        key = min(s, comp)
-        if key not in groups:
-            order.append(key)
-            groups[key] = []
-        groups[key].append(c)
     out = []
-    for key in order:
-        members = groups[key]
-        subset = min((tuple(sorted(c.subset)) for c in members))
+    for subset, members in parallel_groups([c.subset for c in constraints], len(dims)):
         if len(members) == 1:
-            out.append(SubspaceConstraint(frozenset(subset), members[0].complement_basis))
+            out.append(SubspaceConstraint(subset, constraints[members[0]].complement_basis))
             continue
         rows = []
-        for c in members:
+        for i in members:
+            c = constraints[i]
             b = c.complement_basis
-            rows.append(b if tuple(sorted(c.subset)) == subset else b.conj())
+            rows.append(b if frozenset(c.subset) == subset else b.conj())
         stacked = np.vstack([r for r in rows if r.shape[0]])
         if stacked.shape[0] == 0:
             basis = np.zeros((0, math.prod(dims)), dtype=complex)
@@ -176,7 +164,7 @@ def reduce_instance(
             _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
             keep = sv > 1e-10 * max(sv[0], 1.0)
             basis = np.ascontiguousarray(vh[keep])
-        out.append(SubspaceConstraint(frozenset(subset), basis))
+        out.append(SubspaceConstraint(subset, basis))
     return out
 
 
@@ -367,11 +355,28 @@ def _minimize(
 def count_distinct(solutions: Sequence[ProductVector], tol: float) -> int:
     """Number of projective classes: vectors are identified when the product
     of factor overlap moduli exceeds 1 - tol."""
-    reps: list[ProductVector] = []
-    for s in solutions:
-        if not any(_overlap(s, r) > 1.0 - tol for r in reps):
-            reps.append(s)
-    return len(reps)
+    return len(_dedupe([(s, 0.0) for s in solutions], tol))
+
+
+def _dedupe(
+    entries: Sequence[tuple[ProductVector, float]], tol: float
+) -> list[tuple[ProductVector, float]]:
+    """One (vector, cost) per projective class, in order of first appearance.
+
+    A vector joins the first representative it overlaps by more than
+    1 - tol, and replaces it when its cost is lower.
+    """
+    reps: list[tuple[ProductVector, float]] = []
+    for vec, cost in entries:
+        hit = next(
+            (idx for idx, (rvec, _) in enumerate(reps) if _overlap(vec, rvec) > 1.0 - tol),
+            None,
+        )
+        if hit is None:
+            reps.append((vec, cost))
+        elif cost < reps[hit][1]:
+            reps[hit] = (vec, cost)
+    return reps
 
 
 def _overlap(a: ProductVector, b: ProductVector) -> float:
@@ -427,17 +432,7 @@ def solve(
         entries.append((key, vec, cost))
     entries.sort(key=lambda e: e[0])
 
-    reps: list[tuple[ProductVector, float]] = []
-    for _, vec, cost in entries:
-        hit = None
-        for idx, (rvec, rcost) in enumerate(reps):
-            if _overlap(vec, rvec) > 1.0 - config.dedupe_tolerance:
-                hit = idx
-                break
-        if hit is None:
-            reps.append((vec, cost))
-        elif cost < reps[hit][1]:
-            reps[hit] = (vec, cost)
+    reps = _dedupe([(vec, cost) for _, vec, cost in entries], config.dedupe_tolerance)
     solutions = tuple(Solution(v, c) for v, c in reps)
     return SolveReport(
         solutions=solutions,

@@ -28,6 +28,7 @@ from prodvec.signmat import (
     decode_pattern,
     encode_pattern,
     equivalent,
+    find_vanishing,
     invariants,
     permanent,
     permanent_addition,
@@ -48,7 +49,6 @@ from prodvec.solver import (
     subspace_constraint,
 )
 from prodvec.truncpoly import coefficient_direct, expand_product
-from prodvec import _backend
 
 
 class criterion:
@@ -91,7 +91,7 @@ def test_criterion_1_no_3x3_vanishing():
 def test_criterion_2_4x4_classification():
     with criterion(2, "4x4 sweep: even mu and exactly the five classes"):
         t0 = time.monotonic()
-        vanishing = _backend.find_vanishing(4, False)
+        vanishing = find_vanishing(4, False)
         assert vanishing.size > 0
         for p in vanishing:
             minus = 16 - int(p).bit_count()

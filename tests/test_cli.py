@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from prodvec import cli
+import prodvec
+from prodvec import cli, mpstate, signmat
 from prodvec.errors import ParseError
 from prodvec.mpstate import maximally_mixed, write_state
 from prodvec.solvability import problem_spec
@@ -243,6 +244,33 @@ class TestExitCodes:
     def test_unsupported_size_is_1(self, capsys):
         rc, _, err = run(capsys, ["classify", "--n", "5", "--mode", "exhaustive"])
         assert rc == 1
+
+    def test_classify_n6_without_budget_is_1(self, capsys, monkeypatch):
+        def no_sweep(n, normalized):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        rc, _, err = run(capsys, ["classify", "--n", "6", "--mode", "normalized-search"])
+        assert rc == 1
+        assert "budget" in err
+
+    def test_oversized_state_is_1(self, capsys, tmp_path, monkeypatch):
+        # the header alone asks for a 10^6 x 10^6 matrix; refuse before allocating
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before checking the state size")
+
+        monkeypatch.setattr(mpstate.np, "zeros", no_alloc)
+        path = tmp_path / "huge.state"
+        path.write_text("dims: 100 100 100\n")
+        rc, _, err = run(capsys, ["edge", str(path)])
+        assert rc == 1
+        assert "1000000" in err
+
+    def test_version_names_package_version_and_kernels(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"prodvec {prodvec.__version__} (kernels: pure)\n"
 
     def test_unknown_flag_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Compiled and pure kernels must agree exactly."""
+"""The batched int64 permanent kernel and the vanishing-permanent sweeps."""
 
 import itertools
 import math
@@ -7,14 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from prodvec import _purekernels
-
-try:
-    from prodvec import _kernels
-except ImportError:
-    _kernels = None
-
-BACKENDS = [_purekernels] + ([_kernels] if _kernels is not None else [])
+from prodvec.signmat import batch_permanent, find_vanishing, permanent, sign_matrix
 
 
 def naive_permanent(m):
@@ -25,37 +18,43 @@ def naive_permanent(m):
     )
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=lambda k: k.BACKEND_NAME)
 class TestKernel:
-    def test_ryser_matches_naive(self, kern):
+    def test_ryser_matches_naive(self):
         rng = random.Random(3)
         for _ in range(120):
             n = rng.randint(1, 7)
             rows = [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
-            a = np.array(rows, dtype=np.int8)
-            assert kern.ryser_permanent(a) == naive_permanent(rows)
+            a = np.array([rows], dtype=np.int8)
+            assert int(batch_permanent(a)[0]) == naive_permanent(rows)
 
-    def test_batch_matches_single(self, kern):
+    def test_batch_matches_single(self):
         rng = np.random.Generator(np.random.Philox(key=[8, 0]))
         mats = (2 * rng.integers(0, 2, size=(64, 5, 5)) - 1).astype(np.int8)
-        batch = kern.batch_permanent(mats)
+        batch = batch_permanent(mats)
         for i in range(64):
-            assert int(batch[i]) == kern.ryser_permanent(mats[i])
+            assert int(batch[i]) == permanent(sign_matrix(mats[i]))
 
-    def test_size_guard(self, kern):
-        a = np.ones((14, 14), dtype=np.int8)
+    def test_size_guard(self):
+        a = np.ones((1, 14, 14), dtype=np.int8)
         with pytest.raises(ValueError):
-            kern.ryser_permanent(a)
+            batch_permanent(a)
 
-    def test_find_vanishing_small(self, kern):
-        assert kern.find_vanishing(1, False).size == 0
-        v2 = kern.find_vanishing(2, False)
+    def test_permanent_matches_batch_above_naive_limit(self):
+        rng = np.random.Generator(np.random.Philox(key=[9, 0]))
+        for n in range(9, 14):
+            mats = (2 * rng.integers(0, 2, size=(3, n, n)) - 1).astype(np.int8)
+            for m, p in zip(mats, batch_permanent(mats)):
+                assert permanent(sign_matrix(m)) == int(p)
+
+    def test_find_vanishing_small(self):
+        assert find_vanishing(1, False).size == 0
+        v2 = find_vanishing(2, False)
         assert v2.size == 8  # 2x2: per = 0 iff exactly one or three minus entries... enumerated
-        v3 = kern.find_vanishing(3, False)
+        v3 = find_vanishing(3, False)
         assert v3.size == 0
 
-    def test_normalized_patterns_have_plus_border(self, kern):
-        out = kern.find_vanishing(4, True)
+    def test_normalized_patterns_have_plus_border(self):
+        out = find_vanishing(4, True)
         n = 4
         for p in out[:50]:
             p = int(p)
@@ -63,20 +62,3 @@ class TestKernel:
                 assert (p >> (n * n - 1 - j)) & 1  # first row +
             for i in range(n):
                 assert (p >> (n * n - 1 - i * n)) & 1  # first column +
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled extension not built")
-class TestBackendAgreement:
-    def test_find_vanishing_identical(self):
-        for n, normalized in [(2, False), (3, False), (4, False), (4, True), (5, True)]:
-            a = _purekernels.find_vanishing(n, normalized)
-            b = _kernels.find_vanishing(n, normalized)
-            assert np.array_equal(a, b)
-
-    def test_batch_identical(self):
-        rng = np.random.Generator(np.random.Philox(key=[21, 0]))
-        for n in (1, 2, 3, 6, 9, 13):
-            mats = (2 * rng.integers(0, 2, size=(40, n, n)) - 1).astype(np.int8)
-            assert np.array_equal(
-                _purekernels.batch_permanent(mats), _kernels.batch_permanent(mats)
-            )

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from prodvec import signmat
 from prodvec.errors import ParseError, UnsupportedSizeError
 from prodvec.signmat import (
     EquivalenceOp,
@@ -160,8 +161,8 @@ class TestPermanent:
             assert permanent(apply_op(m, EquivalenceOp("negate-row", i))) == -p
             assert permanent(apply_op(m, EquivalenceOp("negate-col", j))) == -p
 
-    def test_big_int_path_matches_backend(self):
-        # above the int64 kernel bound the pure big-int path takes over
+    def test_big_int_path_beyond_int64_bound(self):
+        # beyond the int64 batch kernel's bound, permanent stays exact
         m = sign_matrix(["+" * 14] * 14)
         import math
 
@@ -425,6 +426,16 @@ class TestClassifyVanishing:
     def test_exhaustive_bound(self):
         with pytest.raises(UnsupportedSizeError):
             classify_vanishing(5, "exhaustive")
+
+    def test_n6_normalized_search_needs_budget(self, monkeypatch):
+        # the refusal must come before the 2^25-pattern sweep
+        def no_sweep(n, normalized):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        for budget in (None, 0):
+            with pytest.raises(UnsupportedSizeError):
+                classify_vanishing(6, "normalized-search", budget)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
