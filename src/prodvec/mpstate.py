@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ParseError, UnsupportedSizeError
 from .solvability import Verdict, verdict
 from .solver import (
+    MAX_SPACE_DIM,
     ProductVector,
     SolveReport,
     SolverConfig,
@@ -33,11 +34,6 @@ from .solver import (
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_POSITIVITY_TOL = 1e-10
-# Largest prod(dims) a state file may declare.  read_state allocates the
-# d x d complex matrix from the header alone, before any entry is read; at
-# 4096 it takes 256 MB, and the edge analysis makes further d x d copies
-# for partial transposes and eigendecompositions.
-MAX_STATE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -304,9 +300,11 @@ def read_state(text: str, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
     if not dims or any(d < 1 for d in dims):
         raise ParseError("dims must be positive integers", start)
     d = math.prod(dims)
-    if d > MAX_STATE_DIM:
+    # The header alone fixes the d x d allocation, before any entry is
+    # read; the edge analysis makes further d x d copies.
+    if d > MAX_SPACE_DIM:
         raise UnsupportedSizeError(
-            f"state dimension {d} exceeds the supported {MAX_STATE_DIM}"
+            f"state dimension {d} exceeds the supported {MAX_SPACE_DIM}"
         )
     mat = np.zeros((d, d), dtype=complex)
     for lineno, line in enumerate(lines[start:], start=start + 1):

@@ -582,25 +582,32 @@ def _inner_to_full(inner: np.ndarray, n: int) -> np.ndarray:
     return full | top
 
 
-def find_vanishing(n: int, normalized: bool) -> np.ndarray:
-    """Encoded patterns of all n x n sign matrices with permanent zero.
+def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.ndarray:
+    """Encoded patterns of n x n sign matrices with permanent zero.
 
     Exhaustive mode sweeps all 2^(n^2) matrices; normalized mode fixes the
     first row and column to +1 and sweeps the 2^((n-1)^2) interior
-    patterns.  Returns a sorted int64 array of full-matrix encodings.
+    patterns.  Returns an int64 array of full-matrix encodings in
+    ascending order: chunks are swept in order and ``_inner_to_full``
+    keeps the order of interior patterns.  So with ``limit`` the sweep
+    stops after the chunk that reaches it and returns the ``limit``
+    smallest.
     """
     bits = (n - 1) * (n - 1) if normalized else n * n
     total = 1 << bits
     chunk = 1 << 16
     found = []
+    count = 0
     for start in range(0, total, chunk):
         raw = np.arange(start, min(start + chunk, total), dtype=np.int64)
         patterns = _inner_to_full(raw, n) if normalized else raw
         per = batch_permanent(_decode_batch(patterns, n))
         found.append(patterns[per == 0])
+        count += found[-1].size
+        if limit is not None and count >= limit:
+            break
     out = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
-    out.sort()
-    return out
+    return out[:limit]
 
 
 def _orbit(start: int, n: int) -> set[int]:
@@ -647,10 +654,12 @@ def classify_vanishing(
     by negations alone) and sweeps the remaining (n-1)^2 entries; it is
     complete for existence but not for class counting, and ``budget``
     caps the number of vanishing matrices collected before
-    deduplication (None or 0 means no cap).  At n = 6 a budget is
-    required: uncapped, the search would canonicalize millions of
-    vanishing matrices at about 0.7 s each.
+    deduplication (None or 0 means no cap); the sweep stops once it has
+    that many.  At n = 6 a budget is required: uncapped, the search would
+    canonicalize millions of vanishing matrices at about 0.7 s each.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if mode == "exhaustive":
         if n > 4:
             raise UnsupportedSizeError("exhaustive classification supports n <= 4")
@@ -665,9 +674,7 @@ def classify_vanishing(
             raise UnsupportedSizeError("normalized search supports n <= 6")
         if n == 6 and not budget:
             raise UnsupportedSizeError("normalized search at n = 6 requires a budget")
-        found = find_vanishing(n, True)
-        if budget:
-            found = found[:budget]
+        found = find_vanishing(n, True, budget or None)
         reps = list(
             {
                 encode_pattern(canonical_form(decode_pattern(int(p), n), _max_size=6))

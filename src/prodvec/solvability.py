@@ -131,14 +131,6 @@ def reduce(spec: ProblemSpec) -> ProblemSpec:
     return ProblemSpec(spec.dims, merged)
 
 
-def sign_product(spec: ProblemSpec) -> truncpoly.TruncatedPolynomial:
-    """prod_i (sigma_i . a)^{k_i} in the truncated ring, for the spec as given."""
-    if not spec.constraints:
-        return truncpoly.TruncatedPolynomial.constant(spec.dims, 1)
-    sigma = associated_matrix([sorted(c.subset) for c in spec.constraints], spec.n_parties)
-    return truncpoly.expand_product(sigma, [c.codim for c in spec.constraints], spec.dims)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the decision procedure plus the evidence it rests on.
@@ -170,14 +162,16 @@ def verdict(spec: ProblemSpec) -> Verdict:
     n_e, n_u = counts(red)
     n = red.n_parties
     r = len(red.constraints)
-    product = sign_product(red)
+    # The sign product prod_i (sigma_i . a)^{k_i} in the truncated ring;
+    # with no constraints it is the unit.
+    if r:
+        sigma = associated_matrix([c.subset for c in red.constraints], n)
+        product = truncpoly.expand_product(sigma, [c.codim for c in red.constraints], red.dims)
+        rank = integer_rank(sigma.entries)
+    else:
+        product = truncpoly.TruncatedPolynomial(red.dims, {(0,) * n: 1})
+        rank = 0
     top = product.top_coefficient()
-    rank = (
-        integer_rank([[-1 if j in c.subset else 1 for j in range(1, n + 1)]
-                      for c in red.constraints])
-        if r
-        else 0
-    )
 
     def make(kind, basis, generic=False):
         return Verdict(

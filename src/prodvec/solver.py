@@ -22,9 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnsupportedSizeError
 from .solvability import ProblemSpec, generic_count, parallel_groups, problem_spec
 
 _PHASE_EPS = 1e-12
+# Largest product-space dimension prod(dims) for which a d x d state or a
+# d x codim random basis is allocated; a d x d complex matrix at 4096
+# takes 256 MB.  Checked before allocation.
+MAX_SPACE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,10 @@ def random_instance(spec: ProblemSpec, seed: int) -> list[SubspaceConstraint]:
     realized by such draws.
     """
     d = math.prod(spec.dims)
+    if d > MAX_SPACE_DIM:
+        raise UnsupportedSizeError(
+            f"product dimension {d} exceeds the supported {MAX_SPACE_DIM}"
+        )
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
     out = []
     for c in spec.constraints:
@@ -400,6 +409,8 @@ def solve(
     handful of restarts are run, each returning its start point.
     """
     config = config or SolverConfig()
+    if config.restarts is not None and config.restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {config.restarts}")
     dims = tuple(int(d) for d in dims)
     obj = _Objective(dims, constraints)
     restarts = config.restarts

@@ -1,10 +1,12 @@
-"""Exact arithmetic in the truncated integer polynomial ring.
+"""Sign products in the truncated integer polynomial ring.
 
 The ring is Z[a_1, ..., a_n] / (a_1^{d_1}, ..., a_n^{d_n}): ordinary
 integer polynomials in which any monomial with a_j raised to d_j or
-higher is identically zero.  Elements are kept in canonical sparse form,
+higher is identically zero.  :func:`expand_product` expands a product of
+signed linear forms there; the result is kept in canonical sparse form,
 a map from exponent tuples to nonzero arbitrary-precision integers, so
-the zero/nonzero question is always exact.
+the zero/nonzero question is always exact.  :func:`coefficient_direct`
+is an independent oracle for single coefficients.
 
 Exponent vectors are plain tuples of non-negative ints, one entry per
 variable.
@@ -57,35 +59,6 @@ class TruncatedPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPolynomial is immutable")
 
-    @classmethod
-    def zero(cls, dims: Sequence[int]) -> "TruncatedPolynomial":
-        return cls(dims)
-
-    @classmethod
-    def constant(cls, dims: Sequence[int], value: int) -> "TruncatedPolynomial":
-        n = len(tuple(dims))
-        return cls(dims, {(0,) * n: value})
-
-    @classmethod
-    def variable(cls, dims: Sequence[int], j: int) -> "TruncatedPolynomial":
-        """The generator a_j (0-based j); zero if d_j == 1."""
-        dims = tuple(dims)
-        m = tuple(1 if i == j else 0 for i in range(len(dims)))
-        return cls(dims, {m: 1})
-
-    @classmethod
-    def linear_form(cls, dims: Sequence[int], signs: Sequence[int]) -> "TruncatedPolynomial":
-        """sum_j signs[j] * a_j."""
-        dims = tuple(dims)
-        n = len(dims)
-        if len(signs) != n:
-            raise ValueError("signs must have one entry per variable")
-        coeffs: dict[Exponents, int] = {}
-        for j, s in enumerate(signs):
-            m = tuple(1 if i == j else 0 for i in range(n))
-            coeffs[m] = coeffs.get(m, 0) + int(s)
-        return cls(dims, coeffs)
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -101,67 +74,6 @@ class TruncatedPolynomial:
     def top_coefficient(self) -> int:
         """Coefficient of prod_j a_j^{d_j - 1}, the maximal monomial of the ring."""
         return self.coeffs.get(tuple(d - 1 for d in self.dims), 0)
-
-    def total_degrees(self) -> set[int]:
-        return {sum(m) for m in self.coeffs}
-
-    # -- ring operations -------------------------------------------------
-
-    def _check_same_ring(self, other: "TruncatedPolynomial") -> None:
-        if self.dims != other.dims:
-            raise ValueError(f"mixed rings: dims {self.dims} vs {other.dims}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TruncatedPolynomial.constant(self.dims, other)
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        self._check_same_ring(other)
-        coeffs = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            coeffs[m] = coeffs.get(m, 0) + c
-        return TruncatedPolynomial(self.dims, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedPolynomial(self.dims, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedPolynomial) else -int(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedPolynomial(self.dims, {m: c * other for m, c in self.coeffs.items()})
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        self._check_same_ring(other)
-        dims = self.dims
-        # Eager reduction: a product monomial is dropped the moment any
-        # exponent reaches d_j, so intermediates never exceed prod(d_j) terms.
-        coeffs: dict[Exponents, int] = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                m = tuple(ea + eb for ea, eb in zip(ma, mb))
-                if any(e >= d for e, d in zip(m, dims)):
-                    continue
-                coeffs[m] = coeffs.get(m, 0) + ca * cb
-        return TruncatedPolynomial(dims, coeffs)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in the quotient ring")
-        result = TruncatedPolynomial.constant(self.dims, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPolynomial):
@@ -194,26 +106,22 @@ def expand_product(sigma, powers: Sequence[int], dims: Sequence[int]) -> Truncat
         raise ValueError(f"{len(rows[0])} columns but {len(dims)} dims")
     if any(k < 0 for k in powers):
         raise ValueError("powers must be non-negative")
-    result = TruncatedPolynomial.constant(dims, 1)
+    # Multiply by one linear factor at a time: a term c * a^m spreads to
+    # s_j * c at m + e_j for every party j whose exponent may still grow.
+    n = len(dims)
+    coeffs: dict[Exponents, int] = {(0,) * n: 1}
     for row, k in zip(rows, powers):
-        if k == 0:
-            continue
-        result = result * (TruncatedPolynomial.linear_form(dims, row) ** k)
-        if result.is_zero():
-            break
-    return result
-
-
-def coefficient(p: TruncatedPolynomial, exponents: Sequence[int]) -> int:
-    return p.coefficient(exponents)
-
-
-def top_coefficient(p: TruncatedPolynomial) -> int:
-    return p.top_coefficient()
-
-
-def is_zero(p: TruncatedPolynomial) -> bool:
-    return p.is_zero()
+        for _ in range(k):
+            step: dict[Exponents, int] = {}
+            for m, c in coeffs.items():
+                for j in range(n):
+                    if m[j] + 1 < dims[j]:
+                        m2 = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                        step[m2] = step.get(m2, 0) + row[j] * c
+            coeffs = {m: c for m, c in step.items() if c}
+            if not coeffs:
+                return TruncatedPolynomial(dims)
+    return TruncatedPolynomial(dims, coeffs)
 
 
 def _multinomial(k: int, parts: Sequence[int]) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prodvec
-from prodvec import cli, mpstate, signmat
+from prodvec import cli, mpstate, signmat, solver
 from prodvec.errors import ParseError
 from prodvec.mpstate import maximally_mixed, write_state
 from prodvec.solvability import problem_spec
@@ -253,6 +253,62 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["classify", "--n", "6", "--mode", "normalized-search"])
         assert rc == 1
         assert "budget" in err
+
+    def test_classify_negative_budget_is_1(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        for n in ("5", "6"):
+            argv = ["classify", "--n", n, "--mode", "normalized-search", "--budget", "-1"]
+            rc, _, err = run(capsys, argv)
+            assert rc == 1
+            assert "budget" in err
+
+    def test_classify_n6_budget_sweeps_one_chunk(self, capsys, monkeypatch):
+        # the first 65,536-pattern chunk at n = 6 already holds 11,970
+        # vanishing matrices, so a budget of 5 must stop the sweep there
+        calls = []
+        kernel = signmat.batch_permanent
+
+        def counting(batch):
+            calls.append(len(batch))
+            return kernel(batch)
+
+        monkeypatch.setattr(signmat, "batch_permanent", counting)
+        argv = ["classify", "--n", "6", "--mode", "normalized-search", "--budget", "5"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert calls == [1 << 16]
+        assert 1 <= int(out.rsplit("classes: ", 1)[1]) <= 5
+
+    def test_solve_negative_restarts_is_1(self, capsys, tmp_path, monkeypatch):
+        def no_restart(*args, **kwargs):
+            raise AssertionError("ran a restart before refusing")
+
+        monkeypatch.setattr(solver, "_minimize", no_restart)
+        path = tmp_path / "ex.json"
+        path.write_text(json.dumps(EX25_DOC))
+        rc, out, err = run(capsys, ["solve", str(path), "--restarts", "-3"])
+        assert rc == 1
+        assert "restarts" in err
+        assert out == ""
+
+    def test_solve_oversized_instance_is_1(self, capsys, tmp_path, monkeypatch):
+        # a random instance on 2^13 = 8192 dimensions is refused before drawing
+        class NoDraw:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("drew before checking the instance size")
+
+        monkeypatch.setattr(solver.np.random, "Generator", NoDraw)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dims": [2] * 13, "constraints": [{"subset": [], "codim": 1}]}))
+        rc, _, err = run(capsys, ["solve", str(path)])
+        assert rc == 1
+        assert "8192" in err
 
     def test_oversized_state_is_1(self, capsys, tmp_path, monkeypatch):
         # the header alone asks for a 10^6 x 10^6 matrix; refuse before allocating

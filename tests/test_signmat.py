@@ -423,6 +423,18 @@ class TestClassifyVanishing:
         for m in found:
             assert permanent(m) == 0
 
+    def test_budget_matches_truncated_full_sweep(self):
+        # the budget stops the sweep early; the classes must be those of
+        # the first K patterns of the complete sweep
+        full = signmat.find_vanishing(5, True)
+        for budget in (2, 3):
+            expected = {
+                canonical_form(decode_pattern(int(p), 5)).entries
+                for p in full[:budget]
+            }
+            found = classify_vanishing(5, "normalized-search", budget)
+            assert {c.entries for c in found} == expected
+
     def test_exhaustive_bound(self):
         with pytest.raises(UnsupportedSizeError):
             classify_vanishing(5, "exhaustive")
