@@ -38,7 +38,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/1"
+SCHEMA = "prodvec-report/2"
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_FLOAT})({_FLOAT})i$")

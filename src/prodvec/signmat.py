@@ -593,6 +593,12 @@ def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.nda
     stops after the chunk that reaches it and returns the ``limit``
     smallest.
     """
+    # full-matrix encodings take n^2 bits in either mode, and the sweep
+    # counts patterns in int64
+    if n * n > 62:
+        raise UnsupportedSizeError(
+            f"sign patterns of n = {n} need {n * n} bits; the int64 sweep supports at most 62"
+        )
     bits = (n - 1) * (n - 1) if normalized else n * n
     total = 1 << bits
     chunk = 1 << 16

@@ -6,7 +6,9 @@ least-squares problem over the product of unit spheres, attacked by
 multi-start damped Gauss-Newton (Levenberg-Marquardt) on the stacked
 real and imaginary parts of the basis inner products.  Restart i draws
 its starting point from a counter-based generator keyed by
-(seed, i), so runs are reproducible regardless of scheduling.
+(seed, i).  The restarts run together as batches of rows, and every
+row's arithmetic is its own, so a restart ends at the same point whether
+it runs alone or in any batch: results do not depend on batching.
 
 A small residual certifies a solution (membership can be checked
 directly); a large residual floor across many restarts is *evidence* of
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +32,16 @@ _PHASE_EPS = 1e-12
 # d x codim random basis is allocated; a d x d complex matrix at 4096
 # takes 256 MB.  Checked before allocation.
 MAX_SPACE_DIM = 4096
+# Largest B * (2 * codim + p) * p float64 entries, for the widest
+# constraint's Jacobian block and the B normal matrices of one batch of
+# B restarts with p real parameters (1 MiB).  Restarts run in batches
+# of at most this size, checked before allocation; a restart whose own
+# share exceeds it runs alone.
+MAX_BATCH_ENTRIES = 1 << 17
+
+# Why a restart stopped; SolveReport.exit_reasons counts them.
+EXIT_REASONS = ("converged", "flat-gradient", "no-step", "stagnated", "max-iterations")
+_CONVERGED, _FLAT_GRADIENT, _NO_STEP, _STAGNATED, _MAX_ITERATIONS = range(len(EXIT_REASONS))
 
 
 @dataclass(frozen=True)
@@ -215,150 +227,216 @@ class SolveReport:
     residual_floor: float
     restarts_used: int
     seed: int
+    # restarts per reason in EXIT_REASONS; not printed in the CLI report
+    exit_reasons: dict[str, int] = field(default_factory=dict)
 
 
-class _Objective:
-    """Residuals and Jacobian in real-ified coordinates for fixed constraints.
+class _Problem:
+    """Residuals and normal equations of B starts at once, in real-ified coordinates.
 
-    Parameters are the stacked real and imaginary parts of all factors;
-    the residual vector stacks Re/Im of every basis inner product plus
+    Factors are held as (B, d_j) complex arrays; parameters are the
+    stacked real and imaginary parts of all factors, party by party.
+    The residual vector stacks Re/Im of every basis inner product plus
     one norm penalty (|psi_j|^2 - 1) per factor, which pins the scale
-    gauge without moving the zero set off the unit spheres.
+    gauge without moving the zero set off the unit spheres.  Every
+    operation acts on each row alone, so a row's results do not depend
+    on which other rows share its batch.
     """
 
     def __init__(self, dims: Sequence[int], constraints: Sequence[SubspaceConstraint]):
         self.dims = tuple(int(d) for d in dims)
-        self.constraints = [c for c in constraints if c.codim]
         n = len(self.dims)
-        self.n = n
-        self.offsets = np.cumsum([0] + [2 * d for d in self.dims])
-        self.n_params = int(self.offsets[-1])
-        self.tensors = [
-            c.complement_basis.conj().reshape((c.codim,) + self.dims)
-            for c in self.constraints
-        ]
         if n > 25:
             raise ValueError("at most 25 parties supported")
+        live = [c for c in constraints if c.codim]
+        self.constraints = [
+            (
+                tuple((j + 1) in c.subset for j in range(n)),
+                c.complement_basis.conj().reshape((c.codim,) + self.dims),
+            )
+            for c in live
+        ]
+        self.max_codim = max((c.codim for c in live), default=0)
+        self.offsets = np.cumsum([0] + [2 * d for d in self.dims])
+        self.n_params = int(self.offsets[-1])
+        # "Z" indexes the batch, "z" the basis rows, a..y the parties
         letters = "abcdefghijklmnopqrstuvwxy"[:n]
-        self.full_sub = ["z" + letters] + list(letters)
-        self.partial_subs = []
-        for j in range(n):
-            ops = ["z" + letters] + [letters[l] for l in range(n) if l != j]
-            self.partial_subs.append(",".join(ops) + "->z" + letters[j])
-        self.einsum_full = ",".join(self.full_sub) + "->z"
+        factors = ["Z" + a for a in letters]
+        self.einsum_full = ",".join(["z" + letters] + factors) + "->Zz"
+        self.einsum_partial = [
+            ",".join(["z" + letters] + factors[:j] + factors[j + 1 :]) + "->Zz" + letters[j]
+            for j in range(n)
+        ]
 
-    def unpack(self, x: np.ndarray) -> list[np.ndarray]:
+    @property
+    def entries_per_start(self) -> int:
+        """float64 entries one start adds to a constraint's Jacobian block and JᵀJ."""
+        return (2 * self.max_codim + self.n_params) * self.n_params
+
+    @staticmethod
+    def _sq_norms(f: np.ndarray) -> np.ndarray:
+        return (f.real**2 + f.imag**2).sum(axis=1)
+
+    @staticmethod
+    def _conjugated(factors, conj):
+        return [f.conj() if c else f for f, c in zip(factors, conj)]
+
+    def renormalize(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
         out = []
-        for j, d in enumerate(self.dims):
-            seg = x[self.offsets[j] : self.offsets[j + 1]]
-            out.append(seg[:d] + 1j * seg[d:])
+        for f in factors:
+            norm = np.sqrt(self._sq_norms(f))
+            tiny = norm < 1e-150
+            f = f / np.where(tiny, 1.0, norm)[:, None]
+            f[tiny] = 0.0
+            f[tiny, 0] = 1.0
+            out.append(f)
         return out
 
-    def pack(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        parts = []
-        for f in factors:
-            parts.append(f.real)
-            parts.append(f.imag)
-        return np.concatenate(parts)
+    def step(self, factors: Sequence[np.ndarray], delta: np.ndarray) -> list[np.ndarray]:
+        """Renormalized factors + delta, with delta in real parameter layout."""
+        moved = []
+        for f, lo, d in zip(factors, self.offsets, self.dims):
+            moved.append(f + (delta[:, lo : lo + d] + 1j * delta[:, lo + d : lo + 2 * d]))
+        return self.renormalize(moved)
 
-    def renormalize(self, x: np.ndarray) -> np.ndarray:
-        factors = self.unpack(x)
+    def cost(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        total = np.zeros(len(factors[0]))
+        for conj, t in self.constraints:
+            z = np.einsum(self.einsum_full, t, *self._conjugated(factors, conj))
+            total += self._sq_norms(z)
         for f in factors:
-            norm = np.linalg.norm(f)
-            if norm < 1e-150:
-                f[:] = 0.0
-                f[0] = 1.0
-            else:
-                f /= norm
-        return self.pack(factors)
-
-    def _conjugated(self, factors, subset):
-        return [f.conj() if (j + 1) in subset else f for j, f in enumerate(factors)]
-
-    def cost(self, x: np.ndarray) -> float:
-        factors = self.unpack(x)
-        total = 0.0
-        for c, t in zip(self.constraints, self.tensors):
-            phi = self._conjugated(factors, c.subset)
-            z = np.einsum(self.einsum_full, t, *phi)
-            total += float(np.vdot(z, z).real)
-        for f in factors:
-            total += (float(np.vdot(f, f).real) - 1.0) ** 2
+            total += (self._sq_norms(f) - 1.0) ** 2
         return total
 
-    def residuals_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        factors = self.unpack(x)
-        n = self.n
-        rows = []
-        jac_blocks = []
-        for c, t in zip(self.constraints, self.tensors):
-            phi = self._conjugated(factors, c.subset)
+    def normal_equations(self, factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """JᵀJ (B, p, p) and Jᵀr (B, p), accumulated one constraint block at a time."""
+        b, p = len(factors[0]), self.n_params
+        jtj = np.zeros((b, p, p))
+        g = np.zeros((b, p, 1))
+        for conj, t in self.constraints:
+            phi = self._conjugated(factors, conj)
             z = np.einsum(self.einsum_full, t, *phi)
-            rows.append(z.real)
-            rows.append(z.imag)
-            block = np.zeros((2 * z.size, self.n_params))
-            for j in range(n):
-                others = [phi[l] for l in range(n) if l != j]
-                m = np.einsum(self.partial_subs[j], t, *others)
-                sgn = -1.0 if (j + 1) in c.subset else 1.0
-                lo, d = self.offsets[j], self.dims[j]
-                block[: z.size, lo : lo + d] = m.real
-                block[: z.size, lo + d : lo + 2 * d] = -sgn * m.imag
-                block[z.size :, lo : lo + d] = m.imag
-                block[z.size :, lo + d : lo + 2 * d] = sgn * m.real
-            jac_blocks.append(block)
+            k = z.shape[1]
+            block = np.empty((b, 2 * k, p))
+            for j, (lo, d) in enumerate(zip(self.offsets, self.dims)):
+                m = np.einsum(self.einsum_partial[j], t, *phi[:j], *phi[j + 1 :])
+                sgn = -1.0 if conj[j] else 1.0
+                block[:, :k, lo : lo + d] = m.real
+                block[:, :k, lo + d : lo + 2 * d] = -sgn * m.imag
+                block[:, k:, lo : lo + d] = m.imag
+                block[:, k:, lo + d : lo + 2 * d] = sgn * m.real
+            r = np.concatenate([z.real, z.imag], axis=1)[:, :, None]
+            jt = block.transpose(0, 2, 1)
+            jtj += jt @ block
+            g += jt @ r
         # norm penalties: one row per factor
-        pen = np.zeros((n, self.n_params))
-        pen_rows = np.zeros(n)
-        for j, f in enumerate(factors):
-            pen_rows[j] = np.vdot(f, f).real - 1.0
-            lo, d = self.offsets[j], self.dims[j]
-            pen[j, lo : lo + d] = 2.0 * f.real
-            pen[j, lo + d : lo + 2 * d] = 2.0 * f.imag
-        rows.append(pen_rows)
-        jac_blocks.append(pen)
-        return np.concatenate(rows), np.vstack(jac_blocks)
+        pen = np.zeros((b, len(self.dims), p))
+        for j, (f, lo, d) in enumerate(zip(factors, self.offsets, self.dims)):
+            pen[:, j, lo : lo + d] = 2.0 * f.real
+            pen[:, j, lo + d : lo + 2 * d] = 2.0 * f.imag
+        r = np.stack([self._sq_norms(f) - 1.0 for f in factors], axis=1)[:, :, None]
+        jt = pen.transpose(0, 2, 1)
+        jtj += jt @ pen
+        g += jt @ r
+        return jtj, g[:, :, 0]
 
 
-def _minimize(
-    obj: _Objective, x0: np.ndarray, max_iterations: int, reject_threshold: float
-) -> tuple[np.ndarray, float]:
-    """Damped Gauss-Newton from one start; returns (point, cost without penalty)."""
-    x = obj.renormalize(x0)
-    cost = obj.cost(x)
-    lam = 1e-3
-    for _ in range(max_iterations):
-        if cost < 1e-30:
-            break
-        r, jac = obj.residuals_jacobian(x)
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        if np.linalg.norm(g) < 1e-15:
-            break
-        stepped = False
-        for _ in range(25):
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stacked systems a x = b; returns (x, solved mask).
+
+    A stacked solve fails as a whole when one system is singular; then
+    every row is solved alone (as a one-row stack, so the arithmetic is
+    the same) and only the singular rows are marked unsolved.
+    """
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        ok = np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
             try:
-                delta = np.linalg.solve(jtj + lam * np.eye(obj.n_params), -g)
+                x[i] = np.linalg.solve(a[i : i + 1], b[i : i + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_new = obj.renormalize(x + delta)
-            cost_new = obj.cost(x_new)
-            if cost_new < cost:
-                rel = (cost - cost_new) / max(cost, 1e-300)
-                x, cost = x_new, cost_new
-                lam = max(lam / 3.0, 1e-14)
-                stepped = True
-                break
-            lam *= 10.0
-            if lam > 1e10:
-                break
-        if not stepped:
+                ok[i] = False
+        return x, ok
+
+
+def _minimize_batch(
+    problem: _Problem,
+    factors: Sequence[np.ndarray],
+    max_iterations: int,
+    reject_threshold: float,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton from B starts at once, one damping λ per start.
+
+    Returns the final factors, the cost without penalty and the index
+    into ``EXIT_REASONS`` of every start.  A start retires when its cost
+    falls below 1e-30 (converged), its gradient norm below 1e-15
+    (flat-gradient), no step lowers its cost within 25 λ tries or before
+    λ exceeds 1e10 (no-step), an accepted step gains less than a
+    relative 1e-9 while its cost is above ``reject_threshold``
+    (stagnated), or after ``max_iterations`` steps.
+    """
+    factors = problem.renormalize(factors)
+    n_starts = len(factors[0])
+    out_factors = [np.empty_like(f) for f in factors]
+    out_cost = np.empty(n_starts)
+    out_reason = np.empty(n_starts, dtype=np.intp)
+    rows = np.arange(n_starts)  # the input row of every live start
+    cost = problem.cost(factors)
+    lam = np.full(n_starts, 1e-3)
+
+    def retire(mask, reason):
+        nonlocal factors, rows, cost, lam
+        done = rows[mask]
+        for out, f in zip(out_factors, factors):
+            out[done] = f[mask]
+        out_cost[done] = cost[mask]
+        out_reason[done] = reason
+        keep = ~mask
+        factors = [f[keep] for f in factors]
+        rows, cost, lam = rows[keep], cost[keep], lam[keep]
+
+    diag = np.arange(problem.n_params)
+    for _ in range(max_iterations):
+        retire(cost < 1e-30, _CONVERGED)
+        if not rows.size:
             break
-        if rel < 1e-9 and cost > reject_threshold:
-            break  # stagnated well above the solution floor: hopeless restart
-    # penalty is zero at renormalized points, so cost is the true residual
-    return x, cost
+        jtj, g = problem.normal_equations(factors)
+        flat = np.sqrt((g * g).sum(axis=1)) < 1e-15
+        jtj, g = jtj[~flat], g[~flat]
+        retire(flat, _FLAT_GRADIENT)
+        stepped = np.zeros(rows.size, dtype=bool)
+        searching = np.ones(rows.size, dtype=bool)
+        rel = np.zeros(rows.size)
+        for _ in range(25):
+            trying = np.flatnonzero(searching)
+            if not trying.size:
+                break
+            damped = jtj[trying]
+            damped[:, diag, diag] += lam[trying, None]
+            delta, ok = _solve_rows(damped, -g[trying])
+            lam[trying[~ok]] *= 10.0
+            tried = trying[ok]
+            trial = problem.step([f[tried] for f in factors], delta[ok])
+            trial_cost = problem.cost(trial)
+            better = trial_cost < cost[tried]
+            won = tried[better]
+            rel[won] = (cost[won] - trial_cost[better]) / np.maximum(cost[won], 1e-300)
+            for f, tf in zip(factors, trial):
+                f[won] = tf[better]
+            cost[won] = trial_cost[better]
+            lam[won] = np.maximum(lam[won] / 3.0, 1e-14)
+            stepped[won] = True
+            searching[won] = False
+            lost = tried[~better]
+            lam[lost] *= 10.0
+            searching[lost[lam[lost] > 1e10]] = False
+        retire(~stepped, _NO_STEP)
+        rel = rel[stepped]
+        retire((rel < 1e-9) & (cost > reject_threshold), _STAGNATED)
+    retire(np.ones(rows.size, dtype=bool), _MAX_ITERATIONS)
+    return out_factors, out_cost, out_reason
 
 
 def count_distinct(solutions: Sequence[ProductVector], tol: float) -> int:
@@ -412,33 +490,40 @@ def solve(
     if config.restarts is not None and config.restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {config.restarts}")
     dims = tuple(int(d) for d in dims)
-    obj = _Objective(dims, constraints)
+    problem = _Problem(dims, constraints)
     restarts = config.restarts
     if restarts is None:
         expected = generic_count(spec_of_constraints(dims, constraints))
         restarts = max(500, 50 * expected) if expected else 500
-    if not obj.constraints:
+    if not problem.constraints:
         restarts = min(restarts, 8)
     seed = int(config.seed) & (2**64 - 1)
 
-    found: list[tuple[np.ndarray, float]] = []
+    found: list[tuple[list[np.ndarray], float]] = []
     floor = math.inf
-    for i in range(restarts):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i + 1]))
-        start = []
-        for d in dims:
-            start.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        x0 = obj.pack([f / np.linalg.norm(f) for f in start])
-        x, cost = _minimize(obj, x0, config.max_iterations, config.reject_threshold)
-        floor = min(floor, cost)
-        if cost < config.accept_threshold:
-            found.append((x, cost))
+    reasons = np.zeros(len(EXIT_REASONS), dtype=np.int64)
+    batch = max(1, MAX_BATCH_ENTRIES // problem.entries_per_start)
+    for lo in range(0, restarts, batch):
+        starts = []
+        for i in range(lo, min(lo + batch, restarts)):
+            rng = np.random.Generator(np.random.Philox(key=[seed, i + 1]))
+            starts.append([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims])
+        factors, costs, why = _minimize_batch(
+            problem,
+            [np.array(f) for f in zip(*starts)],
+            config.max_iterations,
+            config.reject_threshold,
+        )
+        floor = min(floor, float(costs.min()))
+        reasons += np.bincount(why, minlength=len(EXIT_REASONS))
+        for i in np.flatnonzero(costs < config.accept_threshold):
+            found.append(([f[i] for f in factors], float(costs[i])))
 
     # canonical order before dedupe, so the report does not depend on
     # restart scheduling
     entries = []
-    for x, cost in found:
-        vec = product_vector(obj.unpack(x))
+    for factors, cost in found:
+        vec = product_vector(factors)
         key = tuple(np.round(np.concatenate([f.view(float) for f in vec.factors]), 9))
         entries.append((key, vec, cost))
     entries.sort(key=lambda e: e[0])
@@ -451,4 +536,5 @@ def solve(
         residual_floor=floor if restarts else math.inf,
         restarts_used=restarts,
         seed=seed,
+        exit_reasons=dict(zip(EXIT_REASONS, reasons.tolist())),
     )

@@ -286,7 +286,7 @@ class TestExitCodes:
         def no_restart(*args, **kwargs):
             raise AssertionError("ran a restart before refusing")
 
-        monkeypatch.setattr(solver, "_minimize", no_restart)
+        monkeypatch.setattr(solver, "_minimize_batch", no_restart)
         path = tmp_path / "ex.json"
         path.write_text(json.dumps(EX25_DOC))
         rc, out, err = run(capsys, ["solve", str(path), "--restarts", "-3"])

@@ -449,6 +449,19 @@ class TestClassifyVanishing:
             with pytest.raises(UnsupportedSizeError):
                 classify_vanishing(6, "normalized-search", budget)
 
+    def test_find_vanishing_refuses_past_62_bits(self, monkeypatch):
+        # n^2 = 64-bit encodings overflow int64: refuse before the first
+        # chunk is allocated or swept
+        def no_work(*args, **kwargs):
+            raise AssertionError("allocated or swept before refusing")
+
+        monkeypatch.setattr(signmat.np, "arange", no_work)
+        monkeypatch.setattr(signmat, "batch_permanent", no_work)
+        monkeypatch.setattr(signmat, "_inner_to_full", no_work)
+        for n, normalized in ((8, False), (8, True), (9, True)):
+            with pytest.raises(UnsupportedSizeError):
+                signmat.find_vanishing(n, normalized)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             classify_vanishing(3, "monte-carlo")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from prodvec import solver
 from prodvec.solvability import problem_spec
 from prodvec.solver import (
+    EXIT_REASONS,
     SolverConfig,
     count_distinct,
     partial_conjugate,
@@ -32,6 +34,28 @@ def random_product_vector(rng, dims):
 
 def two_qubit_infeasible():
     return [subspace_constraint({2}, BELL_PLUS), subspace_constraint((), SINGLET)]
+
+
+def restart_starts(dims, seed, count):
+    """The start factors of restarts 0..count-1, drawn as ``solve`` draws them."""
+    out = []
+    for i in range(count):
+        rng = np.random.Generator(np.random.Philox(key=[seed, i + 1]))
+        out.append([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims])
+    return out
+
+
+def assert_same_report(a, b):
+    assert a.distinct_count == b.distinct_count
+    assert a.residual_floor == b.residual_floor
+    assert a.restarts_used == b.restarts_used
+    assert a.seed == b.seed
+    assert a.exit_reasons == b.exit_reasons
+    assert len(a.solutions) == len(b.solutions)
+    for sa, sb in zip(a.solutions, b.solutions):
+        assert sa.residual == sb.residual
+        for fa, fb in zip(sa.vector.factors, sb.vector.factors):
+            assert np.array_equal(fa, fb)
 
 
 class TestProductVector:
@@ -249,12 +273,106 @@ class TestSolve:
         assert report.residual_floor == 0.0
         assert report.restarts_used <= 8
 
+    def test_exit_reasons_count_every_restart(self):
+        report = solve(
+            two_qubit_infeasible(), (2, 2), SolverConfig(restarts=300, seed=5)
+        )
+        assert tuple(report.exit_reasons) == EXIT_REASONS
+        assert sum(report.exit_reasons.values()) == report.restarts_used
+        # the floor is 1/2 everywhere, so no restart reaches cost 1e-30
+        assert report.exit_reasons["converged"] == 0
+
+        spec = problem_spec((2, 2), [((), 2)])
+        report = solve(random_instance(spec, 12), (2, 2), SolverConfig(restarts=40, seed=12))
+        assert sum(report.exit_reasons.values()) == 40
+        assert report.exit_reasons["converged"] > 0
+
     def test_report_invariants(self):
         spec = problem_spec((2, 2), [({2}, 1), ((), 1)])
         report = solve(random_instance(spec, 8), (2, 2), SolverConfig(restarts=80, seed=8))
         for sol in report.solutions:
             assert sol.residual < SolverConfig().accept_threshold
             assert report.residual_floor <= sol.residual
+
+
+# the (3,3)/4 critical, a mixed (2,2,2) and an overdetermined (2,2,2) shape
+BATCH_SHAPES = [
+    ((3, 3), [((), 4)]),
+    ((2, 2, 2), [({1}, 1), ({2, 3}, 1), ((), 1)]),
+    ((2, 2, 2), [({1}, 2), ({2}, 2)]),
+]
+
+
+class TestBatching:
+    @pytest.mark.parametrize("dims,cons", BATCH_SHAPES)
+    def test_restart_independent_of_batch(self, dims, cons):
+        constraints = random_instance(problem_spec(dims, cons), 21)
+        problem = solver._Problem(dims, constraints)
+        starts = restart_starts(dims, 21, 40)
+        factors, costs, reasons = solver._minimize_batch(
+            problem, [np.array(f) for f in zip(*starts)], 120, 1e-8
+        )
+        for i, start in enumerate(starts):
+            one, cost, reason = solver._minimize_batch(
+                problem, [f[None] for f in start], 120, 1e-8
+            )
+            assert cost[0] == costs[i]
+            assert reason[0] == reasons[i]
+            for a, b in zip(one, factors):
+                assert np.array_equal(a[0], b[i])
+
+    def test_chunked_report_equals_unchunked(self, monkeypatch):
+        dims = (2, 2, 2)
+        constraints = random_instance(problem_spec(dims, [((), 1)] * 3), 101)
+        cfg = SolverConfig(restarts=150, seed=101)
+        per_start = solver._Problem(dims, constraints).entries_per_start
+        assert 150 * per_start <= solver.MAX_BATCH_ENTRIES
+        whole = solve(constraints, dims, cfg)
+
+        calls = []
+        minimize = solver._minimize_batch
+
+        def counting(problem, factors, *args):
+            calls.append(len(factors[0]))
+            return minimize(problem, factors, *args)
+
+        monkeypatch.setattr(solver, "_minimize_batch", counting)
+        monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 7 * per_start)
+        chunked = solve(constraints, dims, cfg)
+        assert calls == [7] * 21 + [3]
+        assert_same_report(whole, chunked)
+
+    def test_singular_row_marked_unsolved(self):
+        rng = rng_for(16)
+        a = rng.standard_normal((4, 3, 3))
+        a[2] = 0.0
+        b = rng.standard_normal((4, 3))
+        x, ok = solver._solve_rows(a, b)
+        assert ok.tolist() == [True, True, False, True]
+        for i in (0, 1, 3):
+            assert np.array_equal(x[i], np.linalg.solve(a[i : i + 1], b[i : i + 1, :, None])[0, :, 0])
+
+    def test_singular_stack_falls_back_per_row(self, monkeypatch):
+        spec = problem_spec((2, 2), [((), 2)])
+        constraints = random_instance(spec, 12)
+        cfg = SolverConfig(restarts=60, seed=12)
+        expected = solve(constraints, (2, 2), cfg)
+
+        stacked_calls = []
+        real_solve = np.linalg.solve
+
+        def raise_once(a, b):
+            if a.ndim == 3 and len(a) > 1:
+                stacked_calls.append(len(a))
+                if len(stacked_calls) == 1:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(solver.np.linalg, "solve", raise_once)
+        report = solve(constraints, (2, 2), cfg)
+        assert len(stacked_calls) > 1
+        assert report.distinct_count == expected.distinct_count == 2
+        assert_same_report(report, expected)
 
 
 class TestCountDistinct:
