@@ -342,6 +342,8 @@ def _cmd_survey(args) -> list[str]:
     Exploration plumbing only; no asymptotic claims are made or checked.
     """
     n, samples = args.n, args.samples
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     if n > signmat.MAX_INT64_N:
         raise UnsupportedSizeError(f"survey supports n <= {signmat.MAX_INT64_N}")
     if samples < 1:

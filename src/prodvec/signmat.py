@@ -26,7 +26,7 @@ PERMANENT_MAX_N = 24
 MAX_INT64_N = 13
 NAIVE_MAX_N = 9
 ADDITION_MAX_N = 8
-CANONICAL_MAX_SIZE = 5
+CANONICAL_MAX_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,19 @@ def format_matrix(m: SignMatrix) -> str:
 
 
 def parse_matrix_text(text: str) -> SignMatrix:
+    """One matrix; blank lines may lead or trail it, but not split it."""
     rows = []
     width = None
     lineno = 0
+    ended_at = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
-            if rows:
-                break  # blank line terminates a matrix block
+            if rows and ended_at is None:
+                ended_at = lineno
             continue
+        if ended_at is not None:
+            raise ParseError(f"row follows blank line {ended_at}, which ends the matrix", lineno)
         for col, ch in enumerate(line, start=1):
             if ch not in "+-":
                 raise ParseError(f"invalid character {ch!r} in matrix", lineno, col)
@@ -178,6 +182,8 @@ def batch_permanent(mats: np.ndarray) -> np.ndarray:
     b, n, n2 = mats.shape
     if n != n2:
         raise ValueError("matrices must be square")
+    if n < 1:
+        raise ValueError(f"matrix size must be at least 1, got {n}")
     if n > MAX_INT64_N:
         raise ValueError(f"int64 kernel limited to n <= {MAX_INT64_N}")
     rowsums = np.zeros((b, n), dtype=np.int64)
@@ -408,18 +414,21 @@ def _check_index(i: int | None, bound: int) -> None:
 def _canonical_entries(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
     """Orbit-minimal entry tuple under swaps and negations.
 
-    Column permutations and sign patterns are enumerated outright; for a
-    fixed column configuration the optimal row operations are forced
-    (take the smaller of each row and its negation, then sort rows), so
-    the search is n! * 2^n instead of the full orbit.
+    For a fixed column configuration the optimal row operations are
+    forced: take the smaller of each row and its negation, then sort the
+    rows.  The column signs are forced too.  Column negations can make
+    any row constant, so the orbit minimum's first row is all -1, and the
+    minimizing signs are +-(some row of the column-permuted matrix); s
+    and -s give the same normalized rows.  So each column permutation
+    tries r sign vectors, and the search is n! * r instead of the full
+    orbit.
     """
     entries = m.entries
-    r = len(entries)
     n = len(entries[0])
     best = None
     for colperm in itertools.permutations(range(n)):
         permuted = [tuple(row[c] for c in colperm) for row in entries]
-        for signs in itertools.product((1, -1), repeat=n):
+        for signs in permuted:
             rows = []
             for row in permuted:
                 srow = tuple(x * s for x, s in zip(row, signs))
@@ -432,16 +441,17 @@ def _canonical_entries(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
     return best
 
 
-def canonical_form(m: SignMatrix, _max_size: int = CANONICAL_MAX_SIZE) -> SignMatrix:
+def canonical_form(m: SignMatrix) -> SignMatrix:
     """Orbit-minimal representative; two matrices are equivalent iff equal forms.
 
     Matrices are ordered by their row-major entry sequence with -1 < +1.
-    Exact mode is bounded at 5 rows/columns; larger inputs raise rather
-    than silently approximating.
+    Exact mode is bounded at CANONICAL_MAX_SIZE = 6 rows/columns (about
+    80 ms for a 6 x 6 matrix); larger inputs raise rather than silently
+    approximating.
     """
-    if m.rows > _max_size or m.cols > _max_size:
+    if m.rows > CANONICAL_MAX_SIZE or m.cols > CANONICAL_MAX_SIZE:
         raise UnsupportedSizeError(
-            f"canonical_form exact mode supports at most {_max_size} rows/columns"
+            f"canonical_form exact mode supports at most {CANONICAL_MAX_SIZE} rows/columns"
         )
     return SignMatrix(_canonical_entries(m))
 
@@ -616,77 +626,37 @@ def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.nda
     return out[:limit]
 
 
-def _orbit(start: int, n: int) -> set[int]:
-    """Full equivalence orbit of an encoded n x n pattern (BFS over generators)."""
-    nn = n * n
-    row_masks = [((1 << n) - 1) << (n * (n - 1 - i)) for i in range(n)]
-    col_masks = [sum(1 << (nn - 1 - i * n - j) for i in range(n)) for j in range(n)]
-
-    def neighbors(p: int):
-        for i in range(n - 1):  # swap rows i, i+1
-            hi, lo = n * (n - 1 - i), n * (n - 2 - i)
-            d = ((p >> hi) ^ (p >> lo)) & ((1 << n) - 1)
-            yield p ^ ((d << hi) | (d << lo))
-        for j in range(n - 1):  # swap cols j, j+1
-            d = ((p >> 1) ^ p) & col_masks[j + 1]
-            yield p ^ (d | (d << 1))
-        for mask in row_masks:
-            yield p ^ mask
-        for mask in col_masks:
-            yield p ^ mask
-
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in neighbors(p):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
-
-
 def classify_vanishing(
     n: int, mode: str = "exhaustive", budget: int | None = None
 ) -> list[SignMatrix]:
     """Canonical representatives of n x n sign matrices with permanent zero.
 
-    ``exhaustive`` sweeps all 2^(n^2) matrices (n <= 4) and is complete:
-    it deduplicates by enumerating whole equivalence orbits, so the
-    result is the full list of classes.  ``normalized-search`` fixes the
-    first row and column to +1 (every class has such a representative,
-    by negations alone) and sweeps the remaining (n-1)^2 entries; it is
-    complete for existence but not for class counting, and ``budget``
-    caps the number of vanishing matrices collected before
-    deduplication (None or 0 means no cap); the sweep stops once it has
-    that many.  At n = 6 a budget is required: uncapped, the search would
-    canonicalize millions of vanishing matrices at about 0.7 s each.
+    Both modes sweep the normalized matrices, whose first row and column
+    are +1 (every class has such a member, by negations alone), and
+    deduplicate by ``canonical_form``.  ``exhaustive`` (n <= 4) runs the
+    whole sweep and ignores ``budget``, so the result is the full list
+    of classes.  ``normalized-search`` (n <= 6) is complete for
+    existence but not for class counting: ``budget`` caps the number of
+    vanishing matrices collected before deduplication (None or 0 means
+    no cap), and the sweep stops once it has that many.  At n = 6 a
+    budget is required: uncapped, the search would canonicalize millions
+    of vanishing matrices at about 80 ms each.
     """
+    if n < 1:
+        raise ValueError(f"matrix size must be at least 1, got {n}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if mode == "exhaustive":
         if n > 4:
             raise UnsupportedSizeError("exhaustive classification supports n <= 4")
-        patterns = set(int(p) for p in find_vanishing(n, False))
-        reps = []
-        while patterns:
-            orbit = _orbit(next(iter(patterns)), n)
-            reps.append(min(orbit))
-            patterns -= orbit
+        budget = None
     elif mode == "normalized-search":
         if n > 6:
             raise UnsupportedSizeError("normalized search supports n <= 6")
         if n == 6 and not budget:
             raise UnsupportedSizeError("normalized search at n = 6 requires a budget")
-        found = find_vanishing(n, True, budget or None)
-        reps = list(
-            {
-                encode_pattern(canonical_form(decode_pattern(int(p), n), _max_size=6))
-                for p in found
-            }
-        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    found = find_vanishing(n, True, budget or None)
+    reps = {encode_pattern(canonical_form(decode_pattern(int(p), n))) for p in found}
     return [decode_pattern(p, n) for p in sorted(reps)]

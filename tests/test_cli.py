@@ -138,6 +138,19 @@ class TestCommands:
         rc, out, _ = run(capsys, ["equivalent", str(a), str(b)])
         assert rc == 0 and "equivalent: true" in out
 
+    def test_equivalent_6x6_scrambled_pair(self, capsys, tmp_path):
+        a_rows = ["+-+--+", "++-+--", "-+++-+", "+--+++", "--+-++", "+++---"]
+        # b is a with columns 0 and 4 swapped, rows 1 and 5 swapped,
+        # row 2 and column 3 negated
+        b_rows = ["--++++", "-++++-", "+--++-", "+---++", "+-++-+", "-+--+-"]
+        a = tmp_path / "a.mat"
+        b = tmp_path / "b.mat"
+        a.write_text("\n".join(a_rows) + "\n")
+        b.write_text("\n".join(b_rows) + "\n")
+        rc, out, _ = run(capsys, ["equivalent", str(a), str(b)])
+        assert rc == 0
+        assert "equivalent: true" in out
+
     def test_solve_prints_seed_and_solutions(self, capsys, tmp_path):
         path = tmp_path / "crit.json"
         path.write_text(
@@ -253,6 +266,39 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["classify", "--n", "6", "--mode", "normalized-search"])
         assert rc == 1
         assert "budget" in err
+
+    def test_sizes_below_one_are_1(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        monkeypatch.setattr(signmat, "batch_permanent", no_sweep)
+        for n in ("0", "-1"):
+            for argv in (["classify", "--n", n], ["survey", "--n", n, "--samples", "10"]):
+                rc, out, err = run(capsys, argv)
+                assert rc == 1
+                assert out == ""
+                assert "at least 1" in err
+
+    def test_equivalent_7x7_is_1(self, capsys, tmp_path, monkeypatch):
+        def no_search(m):
+            raise AssertionError("searched before refusing")
+
+        monkeypatch.setattr(signmat, "_canonical_entries", no_search)
+        a = tmp_path / "a.mat"
+        a.write_text("+++++++\n" * 7)
+        rc, _, err = run(capsys, ["equivalent", str(a), str(a)])
+        assert rc == 1
+        assert "at most 6" in err
+
+    def test_matrix_split_by_blank_line_is_2(self, capsys, tmp_path):
+        a = tmp_path / "a.mat"
+        a.write_text("+-\n\n-+\n")
+        for argv in (["invariants", str(a)], ["equivalent", str(a), str(a)]):
+            rc, out, err = run(capsys, argv)
+            assert rc == 2
+            assert out == ""
+            assert "line 3" in err
 
     def test_classify_negative_budget_is_1(self, capsys, monkeypatch):
         def no_sweep(*args):

@@ -39,6 +39,11 @@ class TestKernel:
         with pytest.raises(ValueError):
             batch_permanent(a)
 
+    def test_refuses_empty_matrices(self):
+        # the 0 x 0 permanent is 1, but the kernel's Ryser sum would give 0
+        with pytest.raises(ValueError):
+            batch_permanent(np.ones((3, 0, 0), dtype=np.int8))
+
     def test_permanent_matches_batch_above_naive_limit(self):
         rng = np.random.Generator(np.random.Philox(key=[9, 0]))
         for n in range(9, 14):

@@ -70,6 +70,57 @@ def orbit_minimum(m):
     return best
 
 
+def full_sign_minimum(m):
+    """Reference canonical form: every column permutation with all 2^n column-sign vectors.
+
+    Row operations are forced as in ``canonical_form``; the column signs
+    are not, so this checks the forced-sign argument.
+    """
+    best = None
+    n = m.cols
+    for colperm in itertools.permutations(range(n)):
+        permuted = [tuple(row[c] for c in colperm) for row in m.entries]
+        for signs in itertools.product((1, -1), repeat=n):
+            rows = []
+            for row in permuted:
+                srow = tuple(x * s for x, s in zip(row, signs))
+                rows.append(min(srow, tuple(-x for x in srow)))
+            cand = tuple(sorted(rows))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def orbit_walk(start, n):
+    """Full equivalence orbit of an encoded n x n pattern (breadth-first over generators)."""
+    nn = n * n
+    row_masks = [((1 << n) - 1) << (n * (n - 1 - i)) for i in range(n)]
+    col_masks = [sum(1 << (nn - 1 - i * n - j) for i in range(n)) for j in range(n)]
+
+    def neighbors(p):
+        for i in range(n - 1):  # swap rows i, i+1
+            hi, lo = n * (n - 1 - i), n * (n - 2 - i)
+            d = ((p >> hi) ^ (p >> lo)) & ((1 << n) - 1)
+            yield p ^ ((d << hi) | (d << lo))
+        for j in range(n - 1):  # swap cols j, j+1
+            d = ((p >> 1) ^ p) & col_masks[j + 1]
+            yield p ^ (d | (d << 1))
+        for mask in row_masks + col_masks:
+            yield p ^ mask
+
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in neighbors(p):
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
 class TestConstruction:
     def test_associated_matrix_singletons(self):
         m = associated_matrix([{1}, {2}, {3}, set()], 3)
@@ -112,6 +163,16 @@ class TestTextFormat:
     def test_ragged_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix_text("++\n+++\n")
+
+    def test_rows_after_blank_line_rejected(self):
+        # a blank line ends the matrix; rows after it must not be dropped silently
+        with pytest.raises(ParseError) as err:
+            parse_matrix_text("+-\n\n-+\n")
+        assert err.value.line == 3
+
+    def test_leading_and_trailing_blank_lines_accepted(self):
+        m = parse_matrix_text("\n  \n+-\n-+\n\n \n")
+        assert m.entries == ((1, -1), (-1, 1))
 
 
 class TestPermanent:
@@ -330,9 +391,28 @@ class TestCanonicalForm:
             m = random_sign_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
             assert canonical_form(m).entries == orbit_minimum(m)
 
+    def test_forced_signs_match_full_sign_search(self):
+        rng = random.Random(53)
+        for r in range(1, 6):
+            for c in range(1, 6):
+                for _ in range(3):
+                    m = random_sign_matrix(rng, r, c)
+                    assert canonical_form(m).entries == full_sign_minimum(m)
+        for _ in range(3):
+            m = random_sign_matrix(rng, 6, 6)
+            assert canonical_form(m).entries == full_sign_minimum(m)
+
+    def test_structured_cases_match_full_sign_search(self):
+        hadamard = sign_matrix(["++++", "+-+-", "++--", "+--+"])
+        cases = [SIGMA_1, SIGMA_2, SIGMA_3, SIGMA_4, hadamard, THREE_QUBIT]
+        cases += [sign_matrix(["+" * c] * r) for r, c in ((1, 1), (3, 3), (2, 5), (5, 2))]
+        cases += [sign_matrix(["+-+--"]), sign_matrix(["+", "-", "-", "+", "+"])]
+        for m in cases:
+            assert canonical_form(m).entries == full_sign_minimum(m)
+
     def test_size_bound(self):
         with pytest.raises(UnsupportedSizeError):
-            canonical_form(sign_matrix(["++++++"] * 6))
+            canonical_form(sign_matrix(["+++++++"] * 7))
 
 
 class TestEquivalent:
@@ -434,6 +514,29 @@ class TestClassifyVanishing:
             }
             found = classify_vanishing(5, "normalized-search", budget)
             assert {c.entries for c in found} == expected
+
+    def test_exhaustive_matches_orbit_enumeration(self):
+        # reference: walk the whole orbit of every vanishing matrix and keep
+        # each orbit's minimum encoding
+        for n in range(1, 5):
+            patterns = {int(p) for p in signmat.find_vanishing(n, False)}
+            minima = []
+            while patterns:
+                orbit = orbit_walk(next(iter(patterns)), n)
+                minima.append(min(orbit))
+                patterns -= orbit
+            classes = classify_vanishing(n, "exhaustive")
+            assert [encode_pattern(c) for c in classes] == sorted(minima)
+
+    def test_sizes_below_one_refused(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before refusing")
+
+        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        for n in (0, -1):
+            for mode in ("exhaustive", "normalized-search"):
+                with pytest.raises(ValueError):
+                    classify_vanishing(n, mode)
 
     def test_exhaustive_bound(self):
         with pytest.raises(UnsupportedSizeError):
