@@ -27,6 +27,7 @@ accepted; the engine merges them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -38,7 +39,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/2"
+SCHEMA = "prodvec-report/3"
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_FLOAT})({_FLOAT})i$")
@@ -375,7 +376,25 @@ def _cmd_survey(args) -> list[str]:
     return lines
 
 
+def _rank_tol(text: str) -> float:
+    """``edge --tol``: a relative rank cut strictly between 0 and 1."""
+    x = float(text)
+    if not 0 < x < 1:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 < tol < 1, got {text}")
+    return x
+
+
+def _positive_tol(text: str) -> float:
+    """``solve --tol``: a finite acceptance threshold above 0."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return x
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="prodvec",
         description="Product vectors in prescribed subspaces, sign-matrix"
@@ -398,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="problem-instance JSON file")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--restarts", type=int, default=None, help="number of restarts")
-    p.add_argument("--tol", type=float, default=None, help="acceptance threshold on the residual")
+    p.add_argument(
+        "--tol", type=_positive_tol, default=None, help="acceptance threshold on the residual"
+    )
     add_out(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -438,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="density-matrix file")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--tol", dest="rank_tol", type=float, default=None,
-                   help="relative rank tolerance (default 1e-9)")
+    p.add_argument("--tol", dest="rank_tol", type=_rank_tol, default=None,
+                   help="relative rank tolerance, 0 < tol < 1 (default 1e-9)")
     add_out(p)
     p.set_defaults(func=_cmd_edge)
 

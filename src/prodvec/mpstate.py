@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class DensityMatrix:
 
 
 def density_matrix(dims: Sequence[int], mat, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
-    """Validating constructor: checks Hermiticity, symmetrizes, normalizes the trace.
+    """Validating constructor: checks finite, Hermitian entries, symmetrizes, normalizes the trace.
 
     Rescaling is skipped when the trace is already 1 to within 1e-12, so
     ingesting a state written by :func:`write_state` reproduces it bit
@@ -67,6 +67,8 @@ def density_matrix(dims: Sequence[int], mat, tol: float = DEFAULT_RANK_TOL) -> D
     """
     dims = tuple(int(d) for d in dims)
     mat = np.asarray(mat, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(mat - mat.conj().T).max() > 1e-10:
         raise ValueError("matrix is not Hermitian within 1e-10")
     mat = (mat + mat.conj().T) / 2.0
@@ -135,6 +137,8 @@ class SubsetRank:
     min_eigenvalue: float
     gap_below: float  # largest |eigenvalue| below the rank cut (0.0 if full rank)
     gap_above: float  # smallest |eigenvalue| counted into the rank
+    # orthonormal rows spanning the complement of the range, from the same eigh
+    complement: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -144,28 +148,37 @@ class RankProfile:
     bound: int  # 2^(n-1) * prod(dims) - sum(dims - 1)
 
 
+def _in_range(w: np.ndarray, tol: float) -> np.ndarray:
+    """The rank cut: eigenvalues with |w| > tol * max|w| (> tol if max|w| is 0)."""
+    sv = np.abs(w)
+    top = sv.max()
+    return sv > (tol * top if top > 0 else tol)
+
+
 def rank_profile(rho: DensityMatrix, tol: float | None = None) -> RankProfile:
-    """Numerical ranks of all canonical partial transposes and the edge bound.
+    """Ranks and range complements of all canonical partial transposes, and the edge bound.
 
     The rank cut is at ``tol`` (relative to the largest singular value);
     each record carries the singular values on both sides of the cut so
-    the cliff is visible in reports.
+    the cliff is visible in reports, and the complement of the range
+    taken from the same decomposition, so rank + codimension = dim.
     """
     tol = rho.tol if tol is None else tol
     records = []
     total = 0
     for s in canonical_subsets(rho.n_parties):
-        w = np.linalg.eigvalsh(partial_transpose(rho, s).mat)
-        sv = np.sort(np.abs(w))[::-1]
-        cut = tol * sv[0] if sv[0] > 0 else tol
-        rank = int(np.sum(sv > cut))
+        w, v = np.linalg.eigh(partial_transpose(rho, s).mat)
+        keep = _in_range(w, tol)
+        sv = np.abs(w)
+        rank = int(keep.sum())
         records.append(
             SubsetRank(
                 subset=s,
                 rank=rank,
                 min_eigenvalue=float(w[0]),
-                gap_below=float(sv[rank]) if rank < sv.size else 0.0,
-                gap_above=float(sv[rank - 1]) if rank else 0.0,
+                gap_below=float(sv[~keep].max()) if rank < sv.size else 0.0,
+                gap_above=float(sv[keep].min()) if rank else 0.0,
+                complement=np.ascontiguousarray(v[:, ~keep].T),
             )
         )
         total += rank
@@ -178,10 +191,7 @@ def range_complement(rho: DensityMatrix, tol: float | None = None) -> np.ndarray
     """Orthonormal rows spanning the orthogonal complement of the range."""
     tol = rho.tol if tol is None else tol
     w, v = np.linalg.eigh(rho.mat)
-    sv = np.abs(w)
-    cut = tol * sv.max() if sv.max() > 0 else tol
-    keep = sv <= cut
-    return np.ascontiguousarray(v[:, keep].T)
+    return np.ascontiguousarray(v[:, ~_in_range(w, tol)].T)
 
 
 def build_separable(vectors: Sequence[ProductVector], weights: Sequence[float]) -> DensityMatrix:
@@ -251,10 +261,7 @@ def edge_analysis(
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
     profile = rank_profile(rho, rank_tol)
-    constraints = []
-    for s in canonical_subsets(rho.n_parties):
-        basis = range_complement(partial_transpose(rho, s), rank_tol)
-        constraints.append(SubspaceConstraint(s, basis))
+    constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)
     report = solve(constraints, rho.dims, config)
@@ -319,6 +326,8 @@ def read_state(text: str, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
             re, im = float(parts[2]), float(parts[3])
         except ValueError:
             raise ParseError("invalid numeric field", lineno) from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError("non-finite entry", lineno)
         if not (0 <= i < d and 0 <= j < d):
             raise ParseError(f"index ({i}, {j}) outside 0..{d - 1}", lineno)
         mat[i, j] = re + 1j * im

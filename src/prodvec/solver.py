@@ -519,8 +519,8 @@ def solve(
         for i in np.flatnonzero(costs < config.accept_threshold):
             found.append(([f[i] for f in factors], float(costs[i])))
 
-    # canonical order before dedupe, so the report does not depend on
-    # restart scheduling
+    # restarts are appended in restart order whatever the batching; this
+    # sort fixes the printed order and which member represents a class
     entries = []
     for factors, cost in found:
         vec = product_vector(factors)

@@ -368,6 +368,49 @@ class TestExitCodes:
         assert rc == 1
         assert "1000000" in err
 
+    def test_bad_tolerances_are_2(self, capsys, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("analysed before rejecting the flag")
+
+        monkeypatch.setattr(mpstate, "read_state", no_work)
+        monkeypatch.setattr(cli, "parse_spec_text", no_work)
+        state = tmp_path / "mixed.state"
+        state.write_text(write_state(maximally_mixed((2, 2))))
+        spec = tmp_path / "ex.json"
+        spec.write_text(json.dumps(EX25_DOC))
+        cases = [["edge", str(state), "--tol", t] for t in ("nan", "0", "-1", "inf", "1")]
+        cases += [["solve", str(spec), "--tol", t] for t in ("nan", "-1", "0", "inf")]
+        for argv in cases:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+
+    def test_non_finite_state_is_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.state"
+        path.write_text("dims: 2 2\n0 0 nan 0\n")
+        rc, out, err = run(capsys, ["edge", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert "line 2" in err
+
+    def test_oversized_invariants_is_1(self, capsys, tmp_path, monkeypatch):
+        def no_elimination(rows):
+            raise AssertionError("eliminated before refusing")
+
+        monkeypatch.setattr(signmat, "_bareiss", no_elimination)
+        n = signmat.INVARIANTS_MAX_SIZE + 1
+        for text in (("+" * n + "\n") * 2, "+\n" * n):
+            path = tmp_path / "big.mat"
+            path.write_text(text)
+            rc, out, err = run(capsys, ["invariants", str(path)])
+            assert rc == 1
+            assert out == ""
+            assert f"at most {n - 1}" in err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_version_names_package_version_and_kernels(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from prodvec import mpstate
 from prodvec.errors import ParseError
 from prodvec.mpstate import (
     INCONSISTENT,
@@ -30,6 +31,20 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 def bell_state():
     return density_matrix((2, 2), np.outer(BELL, BELL.conj()))
+
+
+def state_at_cut(seed):
+    """Separable 2 (x) 2 state (U1 (x) U2) diag(lam) (U1 (x) U2)^+ whose smallest
+    eigenvalue sits within 2e-7 (relative) of the default 1e-9 rank cut."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    us = []
+    for _ in range(2):
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        us.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    lam = rng.uniform(0.5, 1.0, 4)
+    lam[-1] = lam.max() * 1e-9 * (1 + rng.uniform(-2e-7, 2e-7))
+    u = np.kron(us[0], us[1])
+    return density_matrix((2, 2), u @ np.diag(lam) @ u.conj().T)
 
 
 def random_vectors(seed, dims, count):
@@ -153,6 +168,29 @@ class TestRankProfile:
         assert [r.rank for r in prof.records] == [1, 4]
         assert prof.bound == 2 * 4 - 2
 
+    def test_rank_and_complement_agree_at_the_cut(self):
+        # rank and range come from one eigh, so they cannot disagree about
+        # an eigenvalue next to the cut, and the decision counts the same
+        # complement dimensions as the profile
+        for seed in range(40):
+            report = edge_analysis(state_at_cut(seed), SolverConfig(seed=0, restarts=4))
+            for r in report.profile.records:
+                assert r.rank + r.complement.shape[0] == 4
+            codims = sum(4 - r.rank for r in report.profile.records)
+            assert report.decision.n_equations == codims
+
+    def test_complement_spans_the_kernel(self):
+        rho = random_state((2, 3), 9, rank=3)
+        for r in rank_profile(rho).records:
+            pt = partial_transpose(rho, r.subset).mat
+            assert np.allclose(r.complement.conj() @ r.complement.T, np.eye(6 - r.rank))
+            assert np.linalg.norm(pt @ r.complement.T) < 1e-9
+            assert np.array_equal(r.complement, range_complement(partial_transpose(rho, r.subset)))
+
+    def test_nan_tolerance_counts_every_dimension_once(self):
+        for r in rank_profile(maximally_mixed((2, 2)), tol=float("nan")).records:
+            assert r.rank + r.complement.shape[0] == 4
+
     def test_rank_complement_symmetry(self):
         rho = random_state((2, 3), 9, rank=3)
         for s in canonical_subsets(2):
@@ -246,6 +284,26 @@ class TestEdgeAnalysis:
         assert report.classification == NOT_APPLICABLE
         assert report.profile is None
 
+    def test_ranges_taken_from_the_profile(self, monkeypatch):
+        # one partial transpose per canonical subset for is_ppt and one for
+        # rank_profile; the constraints reuse the profile's complements
+        calls = []
+        transpose = mpstate.partial_transpose
+
+        def counting(rho, subset):
+            calls.append(subset)
+            return transpose(rho, subset)
+
+        def no_complement(*args, **kwargs):
+            raise AssertionError("edge_analysis decomposed a partial transpose again")
+
+        monkeypatch.setattr(mpstate, "partial_transpose", counting)
+        monkeypatch.setattr(mpstate, "range_complement", no_complement)
+        state = build_separable(random_vectors(77, (2, 2, 2), 4), [0.25] * 4)
+        report = edge_analysis(state, SolverConfig(seed=5, restarts=20))
+        assert len(calls) == 2 * 4
+        assert report.decision.n_equations == sum(8 - r.rank for r in report.profile.records)
+
     def test_rank_sum_at_bound_forces_witness_or_flag(self):
         report = edge_analysis(maximally_mixed((2, 2, 2)), SolverConfig(seed=3))
         assert report.profile.sum_of_ranks == 32 >= report.profile.bound
@@ -280,3 +338,22 @@ class TestStateFiles:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ParseError):
             read_state("dims: 2\n0 1 1.0 0.0\n1 0 0.5 0.0\n0 0 0.5 0.0\n1 1 0.5 0.0\n")
+
+    def test_non_finite_entries_rejected(self):
+        for bad in ("nan 0", "0 nan", "inf 0", "0 -inf", "-inf 0"):
+            with pytest.raises(ParseError) as exc:
+                read_state(f"dims: 2\n0 0 0.5 0\n1 1 0.5 0\n0 1 {bad}\n")
+            assert exc.value.line == 4
+
+
+class TestDensityMatrix:
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf, 1j * np.nan):
+            mat = np.eye(4, dtype=complex) / 4
+            mat[1, 2] = mat[2, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                density_matrix((2, 2), mat)
+            mat = np.eye(4, dtype=complex) / 4
+            mat[3, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                density_matrix((2, 2), mat)

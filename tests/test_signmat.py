@@ -313,6 +313,19 @@ class TestInvariants:
             p = invariants(m)
             assert p.mu == sum(p.row_minus) == sum(p.col_minus) == mu(m)
 
+    def test_size_bound(self, monkeypatch):
+        bound = signmat.INVARIANTS_MAX_SIZE
+        assert invariants(sign_matrix(["+" * bound])).rank == 1
+        assert invariants(sign_matrix(["-"] * bound)).rank == 1
+
+        def no_elimination(rows):
+            raise AssertionError("eliminated before refusing")
+
+        monkeypatch.setattr(signmat, "_bareiss", no_elimination)
+        for rows in (["+" * (bound + 1)], ["-"] * (bound + 1)):
+            with pytest.raises(UnsupportedSizeError):
+                invariants(sign_matrix(rows))
+
     def test_rank_matches_float_rank(self):
         import numpy as np
 
