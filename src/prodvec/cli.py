@@ -210,10 +210,15 @@ def _solve_lines(report: solver.SolveReport) -> list[str]:
     ]
     for idx, sol in enumerate(report.solutions):
         lines.append(f"solution {idx}: residual {float(sol.residual)!r}")
-        for j, f in enumerate(sol.vector.factors):
-            vals = " ".join(format_complex(z) for z in f)
-            lines.append(f"  factor {j + 1}: {vals}")
+        lines.extend(_factor_lines(sol.vector))
     return lines
+
+
+def _factor_lines(vector: solver.ProductVector) -> list[str]:
+    return [
+        f"  factor {j + 1}: " + " ".join(format_complex(z) for z in f)
+        for j, f in enumerate(vector.factors)
+    ]
 
 
 def _profile_lines(profile: mpstate.RankProfile) -> list[str]:
@@ -331,9 +336,7 @@ def _cmd_edge(args) -> list[str]:
     lines.extend("  " + s for s in _solve_lines(report.solve_report))
     if report.witness is not None:
         lines.append("witness:")
-        for j, f in enumerate(report.witness.factors):
-            vals = " ".join(format_complex(z) for z in f)
-            lines.append(f"  factor {j + 1}: {vals}")
+        lines.extend(_factor_lines(report.witness))
     return lines
 
 

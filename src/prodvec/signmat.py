@@ -471,84 +471,6 @@ def equivalent(a: SignMatrix, b: SignMatrix) -> bool:
     return canonical_form(a).entries == canonical_form(b).entries
 
 
-# -- minus-sign reduction ---------------------------------------------------------
-
-
-def mu(m: SignMatrix) -> int:
-    return sum(1 for row in m.entries for x in row if x < 0)
-
-
-def reduce_minus(m: SignMatrix) -> SignMatrix | None:
-    """Equivalent matrix with strictly fewer minus signs, when one is available.
-
-    A row or column carrying a strict majority of minus signs is negated
-    outright (that always lowers mu).  Otherwise, with half = floor(n/2),
-    a reduction via the rows/columns carrying exactly ``half`` minus
-    signs is guaranteed once mu >= half*n - (half-1) for odd n, or
-    mu >= half*n - half for even n; below that threshold (and with no
-    over-weighted line) returns None.
-    """
-    if not m.is_square:
-        raise ValueError("reduce_minus requires a square matrix")
-    n = m.rows
-    if n < 3:
-        raise ValueError("reduce_minus requires n >= 3")
-    half = n // 2
-    odd = bool(n % 2)
-    threshold = half * n - (half - 1) if odd else half * n - half
-    total = mu(m)
-
-    row_minus, col_minus = _minus_counts(m)
-    for j, c in enumerate(col_minus):
-        if 2 * c > n:
-            return apply_op(m, EquivalenceOp("negate-col", j))
-    for i, c in enumerate(row_minus):
-        if 2 * c > n:
-            return apply_op(m, EquivalenceOp("negate-row", i))
-    if total < threshold:
-        return None
-
-    # All rows and columns now carry at most `half` minus signs.
-    rows_at_half = [i for i, c in enumerate(row_minus) if c == half]
-    cols_at_half = [j for j, c in enumerate(col_minus) if c == half]
-    if odd:
-        i = rows_at_half[0]
-        plus_cols = [j for j in cols_at_half if m.entries[i][j] > 0]
-        out = apply_op(m, EquivalenceOp("negate-row", i))
-        out = apply_op(out, EquivalenceOp("negate-col", plus_cols[0]))
-        out = apply_op(out, EquivalenceOp("negate-col", plus_cols[1]))
-    elif total > threshold:
-        i = rows_at_half[0]
-        j = next(j for j in cols_at_half if m.entries[i][j] > 0)
-        out = apply_op(m, EquivalenceOp("negate-row", i))
-        out = apply_op(out, EquivalenceOp("negate-col", j))
-    else:
-        pair = next(
-            (
-                (i, j)
-                for i in rows_at_half
-                for j in cols_at_half
-                if m.entries[i][j] > 0
-            ),
-            None,
-        )
-        if pair is not None:
-            out = apply_op(m, EquivalenceOp("negate-row", pair[0]))
-            out = apply_op(out, EquivalenceOp("negate-col", pair[1]))
-        else:
-            out = m
-            for i in rows_at_half:
-                out = apply_op(out, EquivalenceOp("negate-row", i))
-            _, new_cols = _minus_counts(out)
-            j = next(
-                j for j in range(n) if j not in cols_at_half and new_cols[j] > half
-            )
-            out = apply_op(out, EquivalenceOp("negate-col", j))
-    if mu(out) >= total:
-        raise AssertionError("minus-sign reduction failed to decrease mu")
-    return out
-
-
 # -- pattern encoding and classification --------------------------------------------
 
 

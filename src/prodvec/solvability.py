@@ -163,15 +163,21 @@ def verdict(spec: ProblemSpec) -> Verdict:
     n = red.n_parties
     r = len(red.constraints)
     # The sign product prod_i (sigma_i . a)^{k_i} in the truncated ring;
-    # with no constraints it is the unit.
+    # with no constraints it is the unit.  It is homogeneous of degree n_e
+    # and no monomial above degree n_u survives, so n_e > n_u makes it 0.
     if r:
         sigma = associated_matrix([c.subset for c in red.constraints], n)
-        product = truncpoly.expand_product(sigma, [c.codim for c in red.constraints], red.dims)
         rank = integer_rank(sigma.entries)
     else:
-        product = truncpoly.TruncatedPolynomial(red.dims, {(0,) * n: 1})
         rank = 0
+    if n_e > n_u:
+        product = truncpoly.TruncatedPolynomial(red.dims)
+    elif r:
+        product = truncpoly.expand_product(sigma, [c.codim for c in red.constraints], red.dims)
+    else:
+        product = truncpoly.TruncatedPolynomial(red.dims, {(0,) * n: 1})
     top = product.top_coefficient()
+    vanishes = product.is_zero()
 
     def make(kind, basis, generic=False):
         return Verdict(
@@ -182,7 +188,7 @@ def verdict(spec: ProblemSpec) -> Verdict:
             n_unknowns=n_u,
             sigma_rank=rank,
             top_coefficient=top,
-            product_vanishes=product.is_zero(),
+            product_vanishes=vanishes,
         )
 
     all_qubits = all(d == 2 for d in red.dims)
@@ -190,7 +196,7 @@ def verdict(spec: ProblemSpec) -> Verdict:
         return make(GENERICALLY_EMPTY, "overdetermined-generic", generic=True)
     if n_e == n_u and top != 0:
         return make(EXISTS_NONZERO, "critical-top-coefficient")
-    if n_e < n_u and not product.is_zero():
+    if n_e < n_u and not vanishes:
         return make(INFINITELY_MANY, "underdetermined-nonvanishing")
     if n_e < n_u and rank == r:
         return make(INFINITELY_MANY, "underdetermined-full-rank")
@@ -198,7 +204,7 @@ def verdict(spec: ProblemSpec) -> Verdict:
         return make(INFINITELY_MANY, "small-system")
     if all_qubits and n >= 3 and (n + 1) & n == 0 and n_e <= n:
         return make(EXISTS_NONZERO, "qubit-solvable-count")
-    if n_e <= n_u and not product.is_zero():
+    if n_e <= n_u and not vanishes:
         return make(EXISTS_NONZERO, "nonvanishing-certificate")
     return make(INCONCLUSIVE, None)
 

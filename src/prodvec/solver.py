@@ -4,11 +4,11 @@ Independent of the exact decision engine: membership of the conjugated
 product vector in each prescribed subspace is recast as a smooth real
 least-squares problem over the product of unit spheres, attacked by
 multi-start damped Gauss-Newton (Levenberg-Marquardt) on the stacked
-real and imaginary parts of the basis inner products.  Restart i draws
-its starting point from a counter-based generator keyed by
-(seed, i).  The restarts run together as batches of rows, and every
-row's arithmetic is its own, so a restart ends at the same point whether
-it runs alone or in any batch: results do not depend on batching.
+real and imaginary parts of the basis inner products.  Restart i (from
+0) draws its start from the Philox stream keyed by (seed, i + 1);
+random_instance draws from (seed, 0).  Restarts run as batches of rows,
+and every row's arithmetic is its own, so a restart ends at the same
+point alone or in any batch: results do not depend on batching.
 
 A small residual certifies a solution (membership can be checked
 directly); a large residual floor across many restarts is *evidence* of
@@ -70,24 +70,27 @@ class ProductVector:
         return out
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > _PHASE_EPS)
-    if nz.size:
-        a = v[nz[0]]
-        v = v * (a.conjugate() / abs(a))
-    return v
+def _canonical(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """ProductVector's convention on each row of (B, d_j) factor stacks, bit for
+    bit as on one row alone: norms use 1-d np.linalg.norm's dot products, and
+    phases are numpy-scalar quotients (array division differs in the last bit)."""
+    out = []
+    for f in factors:
+        re, im = f.real, f.imag
+        norm = np.sqrt((re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0, 0])
+        if (norm < _PHASE_EPS).any():
+            raise ValueError("zero factor")
+        f = f / norm[:, None]
+        a = f[np.arange(len(f)), (np.abs(f) > _PHASE_EPS).argmax(axis=1)]
+        phase = np.array([z.conjugate() / abs(z) for z in a], dtype=complex)
+        out.append(f * phase[:, None])
+    return out
 
 
 def product_vector(factors: Sequence[np.ndarray]) -> ProductVector:
     """Normalize factors, apply the phase convention, and wrap."""
-    fixed = []
-    for f in factors:
-        f = np.asarray(f, dtype=complex).ravel()
-        norm = np.linalg.norm(f)
-        if norm < _PHASE_EPS:
-            raise ValueError("zero factor")
-        fixed.append(_fix_phase(f / norm))
-    return ProductVector(tuple(fixed))
+    rows = _canonical([np.asarray(f, dtype=complex).ravel()[None] for f in factors])
+    return ProductVector(tuple(f[0] for f in rows))
 
 
 def partial_conjugate(psi: ProductVector, subset: Sequence[int] | frozenset[int]) -> ProductVector:
@@ -442,35 +445,30 @@ def _minimize_batch(
 def count_distinct(solutions: Sequence[ProductVector], tol: float) -> int:
     """Number of projective classes: vectors are identified when the product
     of factor overlap moduli exceeds 1 - tol."""
-    return len(_dedupe([(s, 0.0) for s in solutions], tol))
+    factors = [np.stack(fs) for fs in zip(*(s.factors for s in solutions))]
+    return len(_dedupe(factors, np.zeros(len(solutions)), tol))
 
 
-def _dedupe(
-    entries: Sequence[tuple[ProductVector, float]], tol: float
-) -> list[tuple[ProductVector, float]]:
-    """One (vector, cost) per projective class, in order of first appearance.
+def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> list[int]:
+    """Row of one representative per projective class, in order of first appearance.
 
-    A vector joins the first representative it overlaps by more than
-    1 - tol, and replaces it when its cost is lower.
+    Classes are built one at a time: the first unplaced row takes every
+    unplaced row whose product of factor overlap moduli with it exceeds
+    1 - tol, and the class's lowest-cost row (the first on ties)
+    represents it.
     """
-    reps: list[tuple[ProductVector, float]] = []
-    for vec, cost in entries:
-        hit = next(
-            (idx for idx, (rvec, _) in enumerate(reps) if _overlap(vec, rvec) > 1.0 - tol),
-            None,
-        )
-        if hit is None:
-            reps.append((vec, cost))
-        elif cost < reps[hit][1]:
-            reps[hit] = (vec, cost)
+    unplaced = np.arange(len(costs))
+    reps = []
+    while unplaced.size:
+        overlap = np.ones(unplaced.size)
+        for f in factors:
+            overlap *= np.abs(f[unplaced].conj() @ f[unplaced[0]])
+        member = overlap > 1.0 - tol
+        member[0] = True  # whatever the rounding of its self-overlap
+        cls = unplaced[member]
+        reps.append(int(cls[np.argmin(costs[cls])]))
+        unplaced = unplaced[~member]
     return reps
-
-
-def _overlap(a: ProductVector, b: ProductVector) -> float:
-    out = 1.0
-    for fa, fb in zip(a.factors, b.factors):
-        out *= abs(np.vdot(fa, fb))
-    return out
 
 
 def solve(
@@ -480,11 +478,12 @@ def solve(
 ) -> SolveReport:
     """Multi-start minimization of the membership residual.
 
-    Every restart below ``accept_threshold`` contributes a solution;
-    restarts are deterministic given ``config.seed`` (restart i draws
-    from a counter-based stream keyed by (seed, i)).  When all
-    constraints are vacuous the residual is identically zero and only a
-    handful of restarts are run, each returning its start point.
+    Every restart below ``accept_threshold`` is a candidate, and each
+    projective class of candidates gives one solution (see ``_dedupe``).
+    Restart i (from 0) draws from the stream keyed by (seed, i + 1).
+    When all constraints are vacuous the residual is identically zero
+    and only a handful of restarts are run, each returning its start
+    point.
     """
     config = config or SolverConfig()
     if config.restarts is not None and config.restarts < 0:
@@ -499,37 +498,37 @@ def solve(
         restarts = min(restarts, 8)
     seed = int(config.seed) & (2**64 - 1)
 
-    found: list[tuple[list[np.ndarray], float]] = []
+    found = [np.empty((0, d), dtype=complex) for d in dims]
+    found_costs = np.empty(0)
     floor = math.inf
     reasons = np.zeros(len(EXIT_REASONS), dtype=np.int64)
     batch = max(1, MAX_BATCH_ENTRIES // problem.entries_per_start)
     for lo in range(0, restarts, batch):
-        starts = []
-        for i in range(lo, min(lo + batch, restarts)):
+        rows = range(lo, min(lo + batch, restarts))
+        starts = [np.empty((len(rows), d), dtype=complex) for d in dims]
+        for row, i in enumerate(rows):
             rng = np.random.Generator(np.random.Philox(key=[seed, i + 1]))
-            starts.append([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims])
+            for f, d in zip(starts, dims):
+                f[row] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         factors, costs, why = _minimize_batch(
-            problem,
-            [np.array(f) for f in zip(*starts)],
-            config.max_iterations,
-            config.reject_threshold,
+            problem, starts, config.max_iterations, config.reject_threshold
         )
         floor = min(floor, float(costs.min()))
         reasons += np.bincount(why, minlength=len(EXIT_REASONS))
-        for i in np.flatnonzero(costs < config.accept_threshold):
-            found.append(([f[i] for f in factors], float(costs[i])))
+        ok = costs < config.accept_threshold
+        found = [np.concatenate([a, f[ok]]) for a, f in zip(found, factors)]
+        found_costs = np.concatenate([found_costs, costs[ok]])
 
     # restarts are appended in restart order whatever the batching; this
     # sort fixes the printed order and which member represents a class
-    entries = []
-    for factors, cost in found:
-        vec = product_vector(factors)
-        key = tuple(np.round(np.concatenate([f.view(float) for f in vec.factors]), 9))
-        entries.append((key, vec, cost))
-    entries.sort(key=lambda e: e[0])
-
-    reps = _dedupe([(vec, cost) for _, vec, cost in entries], config.dedupe_tolerance)
-    solutions = tuple(Solution(v, c) for v, c in reps)
+    found = _canonical(found)
+    keys = np.round(np.concatenate([f.view(float) for f in found], axis=1), 9)
+    order = np.lexsort(keys.T[::-1])
+    found, found_costs = [f[order] for f in found], found_costs[order]
+    solutions = tuple(
+        Solution(ProductVector(tuple(f[i] for f in found)), float(found_costs[i]))
+        for i in _dedupe(found, found_costs, config.dedupe_tolerance)
+    )
     return SolveReport(
         solutions=solutions,
         distinct_count=len(solutions),

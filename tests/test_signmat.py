@@ -20,12 +20,10 @@ from prodvec.signmat import (
     format_matrix,
     integer_rank,
     invariants,
-    mu,
     parse_matrix_text,
     permanent,
     permanent_addition,
     permanent_naive,
-    reduce_minus,
     sign_matrix,
 )
 
@@ -311,7 +309,8 @@ class TestInvariants:
         for _ in range(40):
             m = random_sign_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             p = invariants(m)
-            assert p.mu == sum(p.row_minus) == sum(p.col_minus) == mu(m)
+            minus = sum(1 for row in m.entries for x in row if x < 0)
+            assert p.mu == sum(p.row_minus) == sum(p.col_minus) == minus
 
     def test_size_bound(self, monkeypatch):
         bound = signmat.INVARIANTS_MAX_SIZE
@@ -439,61 +438,6 @@ class TestEquivalent:
 
     def test_distinct_shapes_inequivalent(self):
         assert not equivalent(sign_matrix(["++"]), sign_matrix(["++", "++"]))
-
-
-class TestReduceMinus:
-    def test_full_minus_column(self):
-        m = sign_matrix(["-+++", "-+++", "-+++", "-+++"])
-        out = reduce_minus(m)
-        assert out is not None
-        assert mu(out) == 0
-
-    def test_contract_on_random_matrices(self):
-        rng = random.Random(71)
-        reduced = 0
-        for _ in range(300):
-            n = rng.randint(3, 5)
-            m = random_sign_matrix(rng, n, n)
-            out = reduce_minus(m)
-            half = n // 2
-            threshold = half * n - (half - 1) if n % 2 else half * n - half
-            if out is None:
-                assert mu(m) < threshold
-                counts = invariants(m)
-                assert all(2 * c <= n for c in counts.row_minus)
-                assert all(2 * c <= n for c in counts.col_minus)
-                continue
-            reduced += 1
-            assert mu(out) < mu(m)
-            assert equivalent(m, out)
-        assert reduced > 20
-
-    def test_above_threshold_always_reduces(self):
-        rng = random.Random(72)
-        hits = 0
-        while hits < 25:
-            n = rng.randint(3, 5)
-            half = n // 2
-            threshold = half * n - (half - 1) if n % 2 else half * n - half
-            m = random_sign_matrix(rng, n, n)
-            if mu(m) < threshold:
-                continue
-            hits += 1
-            out = reduce_minus(m)
-            assert out is not None and mu(out) < mu(m)
-
-    def test_permutation_pattern_three(self):
-        m = sign_matrix(["-++", "+-+", "++-"])
-        out = reduce_minus(m)
-        assert out is not None
-        assert mu(out) <= 2
-        assert equivalent(m, out)
-
-    def test_small_or_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_minus(sign_matrix(["--", "--"]))
-        with pytest.raises(ValueError):
-            reduce_minus(sign_matrix(["---", "---"]))
 
 
 class TestClassifyVanishing:

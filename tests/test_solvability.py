@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from prodvec import solvability
 from prodvec.signmat import permanent, sign_matrix
 from prodvec.solvability import (
     EXISTS_NONZERO,
     GENERICALLY_EMPTY,
     INCONCLUSIVE,
     INFINITELY_MANY,
+    Verdict,
     counts,
     generic_count,
     problem_spec,
@@ -105,6 +107,24 @@ class TestVerdict:
         assert v.kind == GENERICALLY_EMPTY
         assert v.generic
         assert v.basis == "overdetermined-generic"
+
+    def test_overdetermined_skips_the_expansion(self, monkeypatch):
+        # the sign product has degree n_e > n_u, so it is 0 unexpanded
+        def fail(*args):
+            raise AssertionError("expand_product called")
+
+        monkeypatch.setattr(solvability.truncpoly, "expand_product", fail)
+        spec = problem_spec((2, 2, 3), [({1}, 2), ({2}, 2), ((), 1)])
+        assert verdict(spec) == Verdict(
+            kind=GENERICALLY_EMPTY,
+            basis="overdetermined-generic",
+            generic=True,
+            n_equations=5,
+            n_unknowns=4,
+            sigma_rank=3,
+            top_coefficient=0,
+            product_vanishes=True,
+        )
 
     def test_critical_top_coefficient(self):
         v = verdict(problem_spec((3, 3), [((), 4)]))

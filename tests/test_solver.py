@@ -74,6 +74,20 @@ class TestProductVector:
         with pytest.raises(ValueError):
             product_vector([np.zeros(2), np.array([1, 0])])
 
+    def test_stacked_rows_match_one_vector_reference(self):
+        def reference(v):
+            v = v / np.linalg.norm(v)
+            a = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+            return v * (a.conjugate() / abs(a))
+
+        rng = rng_for(19)
+        stack = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+        stack[::3, :2] = 0  # rows whose first components are zero
+        stack *= 10.0 ** rng.integers(-6, 6, size=(300, 1))
+        (rows,) = solver._canonical([stack])
+        expected = np.stack([reference(v) for v in stack])
+        assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
 
 class TestPartialConjugate:
     def test_empty_subset_identity(self):
@@ -287,6 +301,20 @@ class TestSolve:
         assert sum(report.exit_reasons.values()) == 40
         assert report.exit_reasons["converged"] > 0
 
+    def test_vectors_built_only_for_representatives(self, monkeypatch):
+        built = []
+        real = solver.ProductVector
+
+        def counting(factors):
+            built.append(factors)
+            return real(factors)
+
+        monkeypatch.setattr(solver, "ProductVector", counting)
+        spec = problem_spec((2, 2), [((), 2)])
+        report = solve(random_instance(spec, 12), (2, 2), SolverConfig(restarts=40, seed=12))
+        assert report.distinct_count == 2
+        assert len(built) <= report.distinct_count
+
     def test_report_invariants(self):
         spec = problem_spec((2, 2), [({2}, 1), ((), 1)])
         report = solve(random_instance(spec, 8), (2, 2), SolverConfig(restarts=80, seed=8))
@@ -390,3 +418,30 @@ class TestCountDistinct:
         rng = rng_for(15)
         vs = [random_product_vector(rng, (2, 2)) for _ in range(6)]
         assert count_distinct(vs, 1e-6) == 6
+
+    def test_empty(self):
+        assert count_distinct([], 1e-6) == 0
+
+
+class TestDedupe:
+    @staticmethod
+    def stacks(vectors):
+        return [np.stack(fs) for fs in zip(*(v.factors for v in vectors))]
+
+    def test_lowest_cost_member_represents(self):
+        v = random_product_vector(rng_for(16), (2, 3))
+        w = product_vector([np.exp(0.3j) * f for f in v.factors])
+        costs = np.array([2e-15, 1e-15])
+        assert solver._dedupe(self.stacks([v, w]), costs, 1e-6) == [1]
+
+    def test_first_on_equal_costs(self):
+        v = random_product_vector(rng_for(17), (2, 2))
+        assert solver._dedupe(self.stacks([v, v, v]), np.zeros(3), 1e-6) == [0]
+
+    def test_classes_in_order_of_first_appearance(self):
+        rng = rng_for(18)
+        a, b, c = (random_product_vector(rng, (2, 2)) for _ in range(3))
+        costs = np.array([1e-15, 3e-15, 1e-15, 1e-15, 2e-15])
+        reps = solver._dedupe(self.stacks([a, b, a, c, b]), costs, 1e-6)
+        # b's class comes second although its representative is row 4
+        assert reps == [0, 4, 3]
