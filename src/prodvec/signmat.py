@@ -12,6 +12,7 @@ and classifies square matrices with vanishing permanent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -20,6 +21,9 @@ import numpy as np
 
 from .errors import ParseError, UnsupportedSizeError
 
+# The Python-int Ryser doubles with each n: on a 2-CPU Xeon host, `prodvec
+# permanent` takes 49 s on a random 24 x 24 sign matrix, the slowest input
+# admitted.
 PERMANENT_MAX_N = 24
 # int64 Ryser accumulators are provably overflow-free only while
 # 2^n * n^n < 2^63; the batched kernel refuses larger matrices.
@@ -29,7 +33,9 @@ ADDITION_MAX_N = 8
 CANONICAL_MAX_SIZE = 6
 # invariants' Python-int Bareiss grows about as size^4.4: on a 2-CPU Xeon
 # host, 0.45 s for a 128 x 128 Hadamard matrix against 37 s for a random
-# 400 x 400 one.  Larger inputs are refused before any work.
+# 400 x 400 one.  Larger inputs are refused before any work.  Square inputs
+# up to PERMANENT_MAX_N also pay the Ryser permanent, so the slowest input
+# admitted is a random 24 x 24 one: 57 s for `prodvec invariants`.
 INVARIANTS_MAX_SIZE = 128
 
 
@@ -326,12 +332,6 @@ class InvariantProfile:
     row_gram_is_scalar: bool
 
 
-def _minus_counts(m: SignMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    row_minus = tuple(sum(1 for x in row if x < 0) for row in m.entries)
-    col_minus = tuple(sum(1 for row in m.entries if row[j] < 0) for j in range(m.cols))
-    return row_minus, col_minus
-
-
 def _parity_difference(counts: Sequence[int]) -> int:
     even = sum(1 for c in counts if c % 2 == 0)
     return even - (len(counts) - even)
@@ -342,21 +342,18 @@ def invariants(m: SignMatrix) -> InvariantProfile:
         raise UnsupportedSizeError(
             f"invariants supports at most {INVARIANTS_MAX_SIZE} rows/columns"
         )
-    row_minus, col_minus = _minus_counts(m)
+    a = m.to_numpy()
+    minus = a < 0
+    row_minus = tuple(minus.sum(axis=1).tolist())
+    col_minus = tuple(minus.sum(axis=0).tolist())
     rank, det = _bareiss(m.entries)
     abs_per = None
     if m.is_square and m.rows <= PERMANENT_MAX_N:
         abs_per = abs(permanent(m))
-    gram_scalar = True
-    n = m.cols
-    for i, ri in enumerate(m.entries):
-        for k, rk in enumerate(m.entries):
-            dot = sum(x * y for x, y in zip(ri, rk))
-            if dot != (n if i == k else 0):
-                gram_scalar = False
-                break
-        if not gram_scalar:
-            break
+    # entries are +-1 and there are at most INVARIANTS_MAX_SIZE columns, so
+    # the int64 Gram cannot overflow
+    a = a.astype(np.int64)
+    gram_scalar = bool((a @ a.T == m.cols * np.eye(m.rows, dtype=np.int64)).all())
     return InvariantProfile(
         mu=sum(row_minus),
         row_minus=row_minus,
@@ -416,7 +413,40 @@ def _check_index(i: int | None, bound: int) -> None:
         raise IndexError(f"index {i} out of range 0..{bound - 1}")
 
 
+# -- packed sign patterns ------------------------------------------------------
+
+
+def _pack(a: np.ndarray) -> np.ndarray:
+    """int64 codes of the last axis of k <= 62 entries +-1: bit k-1-j is set
+    iff entry j is +1, so integer order is the entry order with -1 < +1."""
+    k = a.shape[-1]
+    return (a > 0) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+
+
+def _unpack(codes, k: int) -> np.ndarray:
+    """Inverse of ``_pack``: (..., k) int64 entries +-1 of k-bit codes."""
+    bits = (np.asarray(codes, dtype=np.int64)[..., None] >> np.arange(k - 1, -1, -1)) & 1
+    return 2 * bits - 1
+
+
+def encode_pattern(m: SignMatrix) -> int:
+    """``_pack`` of the row-major entries, so comparing encodings orders
+    matrices as the canonical form does."""
+    return int(_pack(m.to_numpy().ravel()))
+
+
+def decode_pattern(p: int, n: int) -> SignMatrix:
+    return SignMatrix(tuple(map(tuple, _unpack(p, n * n).reshape(n, n).tolist())))
+
+
 # -- canonical form --------------------------------------------------------------
+
+
+@functools.cache
+def _column_perms(n: int) -> np.ndarray:
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms.flags.writeable = False  # shared by every call
+    return perms
 
 
 def _canonical_entries(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
@@ -429,24 +459,18 @@ def _canonical_entries(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
     minimizing signs are +-(some row of the column-permuted matrix); s
     and -s give the same normalized rows.  So each column permutation
     tries r sign vectors, and the search is n! * r instead of the full
-    orbit.
+    orbit.  All n! * r candidates are built at once as packed row codes
+    (at most 720 * 6 * 6 * 6 entries under CANONICAL_MAX_SIZE).
     """
-    entries = m.entries
-    n = len(entries[0])
-    best = None
-    for colperm in itertools.permutations(range(n)):
-        permuted = [tuple(row[c] for c in colperm) for row in entries]
-        for signs in permuted:
-            rows = []
-            for row in permuted:
-                srow = tuple(x * s for x, s in zip(row, signs))
-                neg = tuple(-x for x in srow)
-                rows.append(srow if srow < neg else neg)
-            rows.sort()
-            cand = tuple(rows)
-            if best is None or cand < best:
-                best = cand
-    return best
+    a = m.to_numpy()
+    r, n = a.shape
+    p = a.T[_column_perms(n)].swapaxes(1, 2)  # (n!, r, n): columns permuted
+    c = p[:, None] * p[:, :, None]  # c[q, s, i]: row i under the signs of row s
+    c *= -c[..., :1]  # each row the smaller of itself and its negation
+    rows = np.sort(_pack(c), axis=-1)
+    # one code per candidate, its first row highest: the row-major r*n-bit code
+    keys = (rows << (n * np.arange(r - 1, -1, -1, dtype=np.int64))).sum(axis=-1)
+    return tuple(map(tuple, _unpack(keys.min(), r * n).reshape(r, n).tolist()))
 
 
 def canonical_form(m: SignMatrix) -> SignMatrix:
@@ -454,8 +478,8 @@ def canonical_form(m: SignMatrix) -> SignMatrix:
 
     Matrices are ordered by their row-major entry sequence with -1 < +1.
     Exact mode is bounded at CANONICAL_MAX_SIZE = 6 rows/columns (about
-    80 ms for a 6 x 6 matrix); larger inputs raise rather than silently
-    approximating.
+    2 ms for a random 6 x 6 matrix on a 2-CPU Xeon host); larger inputs
+    raise rather than silently approximating.
     """
     if m.rows > CANONICAL_MAX_SIZE or m.cols > CANONICAL_MAX_SIZE:
         raise UnsupportedSizeError(
@@ -471,55 +495,7 @@ def equivalent(a: SignMatrix, b: SignMatrix) -> bool:
     return canonical_form(a).entries == canonical_form(b).entries
 
 
-# -- pattern encoding and classification --------------------------------------------
-
-
-def encode_pattern(m: SignMatrix) -> int:
-    """Pack a square n x n matrix into an int.
-
-    Bit (n*n - 1 - (n*i + j)) is set iff entry (i, j) is +1, so comparing
-    encoded ints orders matrices by their row-major entry sequence with
-    -1 < +1, which is the canonical-form ordering.
-    """
-    n = m.cols
-    p = 0
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x > 0:
-                p |= 1 << (n * n - 1 - (i * n + j))
-    return p
-
-
-def decode_pattern(p: int, n: int) -> SignMatrix:
-    return SignMatrix(
-        tuple(
-            tuple(1 if (p >> (n * n - 1 - (i * n + j))) & 1 else -1 for j in range(n))
-            for i in range(n)
-        )
-    )
-
-
-def _decode_batch(patterns: np.ndarray, n: int) -> np.ndarray:
-    """Unpack encoded patterns into (B, n, n) +-1 matrices."""
-    shifts = (n * n - 1 - np.arange(n * n, dtype=np.int64)).reshape(n, n)
-    bits = (patterns[:, None, None] >> shifts[None, :, :]) & 1
-    return (2 * bits - 1).astype(np.int64)
-
-
-def _inner_to_full(inner: np.ndarray, n: int) -> np.ndarray:
-    """Embed (n-1)^2-bit interior patterns into full patterns with +1 first row/column."""
-    full = np.zeros(inner.shape, dtype=np.int64)
-    for i in range(1, n):
-        for j in range(1, n):
-            src = (n - 1) * (n - 1) - 1 - ((i - 1) * (n - 1) + (j - 1))
-            dst = n * n - 1 - (i * n + j)
-            full |= ((inner >> src) & 1) << dst
-    top = 0
-    for j in range(n):
-        top |= 1 << (n * n - 1 - j)
-    for i in range(n):
-        top |= 1 << (n * n - 1 - i * n)
-    return full | top
+# -- classification --------------------------------------------------------------
 
 
 def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.ndarray:
@@ -528,7 +504,7 @@ def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.nda
     Exhaustive mode sweeps all 2^(n^2) matrices; normalized mode fixes the
     first row and column to +1 and sweeps the 2^((n-1)^2) interior
     patterns.  Returns an int64 array of full-matrix encodings in
-    ascending order: chunks are swept in order and ``_inner_to_full``
+    ascending order: chunks are swept in order, and a fixed +1 border
     keeps the order of interior patterns.  So with ``limit`` the sweep
     stops after the chunk that reaches it and returns the ``limit``
     smallest.
@@ -539,16 +515,18 @@ def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.nda
         raise UnsupportedSizeError(
             f"sign patterns of n = {n} need {n * n} bits; the int64 sweep supports at most 62"
         )
-    bits = (n - 1) * (n - 1) if normalized else n * n
-    total = 1 << bits
+    side = n - 1 if normalized else n
+    total = 1 << (side * side)
     chunk = 1 << 16
     found = []
     count = 0
     for start in range(0, total, chunk):
         raw = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        patterns = _inner_to_full(raw, n) if normalized else raw
-        per = batch_permanent(_decode_batch(patterns, n))
-        found.append(patterns[per == 0])
+        mats = _unpack(raw, side * side).reshape(len(raw), side, side)
+        if normalized:
+            mats = np.pad(mats, ((0, 0), (1, 0), (1, 0)), constant_values=1)
+        vanishing = mats[batch_permanent(mats) == 0]
+        found.append(_pack(vanishing.reshape(len(vanishing), n * n)))
         count += found[-1].size
         if limit is not None and count >= limit:
             break
@@ -570,7 +548,7 @@ def classify_vanishing(
     vanishing matrices collected before deduplication (None or 0 means
     no cap), and the sweep stops once it has that many.  At n = 6 a
     budget is required: uncapped, the search would canonicalize millions
-    of vanishing matrices at about 80 ms each.
+    of vanishing matrices at about 2 ms each.
     """
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")

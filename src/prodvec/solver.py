@@ -198,7 +198,11 @@ def residual(psi: ProductVector, constraints: Sequence[SubspaceConstraint]) -> f
     for c in constraints:
         if not c.codim:
             continue
-        w = partial_conjugate(psi, c.subset).full_vector()
+        # conjugation keeps psi's unit factors unit and its phase convention,
+        # so the factors need no re-normalization
+        w = ProductVector(
+            tuple(f.conj() if j + 1 in c.subset else f for j, f in enumerate(psi.factors))
+        ).full_vector()
         z = c.complement_basis.conj() @ w
         total += float(np.vdot(z, z).real)
     return total

@@ -89,6 +89,30 @@ def full_sign_minimum(m):
     return best
 
 
+def minus_counts_and_gram(m):
+    """Reference row/column minus counts and scalar-Gram flag, entry by entry."""
+    row_minus = tuple(sum(1 for x in row if x < 0) for row in m.entries)
+    col_minus = tuple(sum(1 for row in m.entries if row[j] < 0) for j in range(m.cols))
+    gram_scalar = True
+    n = m.cols
+    for i, ri in enumerate(m.entries):
+        for k, rk in enumerate(m.entries):
+            dot = sum(x * y for x, y in zip(ri, rk))
+            if dot != (n if i == k else 0):
+                gram_scalar = False
+                break
+        if not gram_scalar:
+            break
+    return row_minus, col_minus, gram_scalar
+
+
+def sylvester_hadamard(n):
+    rows = [[1]]
+    while len(rows) < n:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return sign_matrix(rows)
+
+
 def orbit_walk(start, n):
     """Full equivalence orbit of an encoded n x n pattern (breadth-first over generators)."""
     nn = n * n
@@ -325,6 +349,20 @@ class TestInvariants:
             with pytest.raises(UnsupportedSizeError):
                 invariants(sign_matrix(rows))
 
+    def test_counts_and_gram_match_entrywise_reference(self):
+        rng = random.Random(35)
+        cases = [random_sign_matrix(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
+        cases += [sylvester_hadamard(n) for n in (4, 8, 16, 128)]
+        flipped = [list(row) for row in sylvester_hadamard(16).entries]
+        flipped[5][11] = -flipped[5][11]
+        cases.append(sign_matrix(flipped))
+        grams = []
+        for m in cases:
+            p = invariants(m)
+            assert (p.row_minus, p.col_minus, p.row_gram_is_scalar) == minus_counts_and_gram(m)
+            grams.append(p.row_gram_is_scalar)
+        assert grams[-5:] == [True, True, True, True, False]
+
     def test_rank_matches_float_rank(self):
         import numpy as np
 
@@ -413,6 +451,13 @@ class TestCanonicalForm:
         for _ in range(3):
             m = random_sign_matrix(rng, 6, 6)
             assert canonical_form(m).entries == full_sign_minimum(m)
+
+    def test_forced_signs_match_full_sign_search_on_six_wide_and_tall(self):
+        rng = random.Random(54)
+        for k in range(1, 6):
+            for r, c in ((k, 6), (6, k)):
+                m = random_sign_matrix(rng, r, c)
+                assert canonical_form(m).entries == full_sign_minimum(m)
 
     def test_structured_cases_match_full_sign_search(self):
         hadamard = sign_matrix(["++++", "+-+-", "++--", "+--+"])
@@ -517,7 +562,7 @@ class TestClassifyVanishing:
 
         monkeypatch.setattr(signmat.np, "arange", no_work)
         monkeypatch.setattr(signmat, "batch_permanent", no_work)
-        monkeypatch.setattr(signmat, "_inner_to_full", no_work)
+        monkeypatch.setattr(signmat, "_unpack", no_work)
         for n, normalized in ((8, False), (8, True), (9, True)):
             with pytest.raises(UnsupportedSizeError):
                 signmat.find_vanishing(n, normalized)
@@ -539,6 +584,22 @@ class TestPatternEncoding:
         # integer order on encodings == row-major entry order with -1 < +1
         for (p1, e1), (p2, e2) in itertools.combinations(pairs, 2):
             assert (p1 < p2) == (e1 < e2)
+
+    def test_round_trip_and_order_n1_to_6(self):
+        # up to 36-bit codes; bit n*n - 1 - (n*i + j) is set iff entry (i, j) is +1
+        rng = random.Random(82)
+        for n in range(1, 7):
+            pairs = []
+            for _ in range(20):
+                m = random_sign_matrix(rng, n, n)
+                p = encode_pattern(m)
+                bits = [(p >> (n * n - 1 - (n * i + j))) & 1 for i in range(n) for j in range(n)]
+                assert bits == [int(x > 0) for row in m.entries for x in row]
+                assert p < 1 << (n * n)
+                assert decode_pattern(p, n).entries == m.entries
+                pairs.append((p, m.entries))
+            for (p1, e1), (p2, e2) in itertools.combinations(pairs, 2):
+                assert (p1 < p2) == (e1 < e2)
 
 
 class TestIntegerRank:

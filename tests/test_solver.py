@@ -183,6 +183,42 @@ class TestResidual:
         )
         assert abs(residual(psi, constraints) - residual(scaled, constraints)) < 1e-12
 
+    def test_does_not_recanonicalize(self, monkeypatch):
+        spec = problem_spec((2, 3), [({1}, 1), ({2}, 2), ((), 1)])
+        constraints = random_instance(spec, 5)
+        psi = random_product_vector(rng_for(11), (2, 3))
+
+        def no_canonical(factors):
+            raise AssertionError("conjugated vector re-canonicalized")
+
+        monkeypatch.setattr(solver, "product_vector", no_canonical)
+        assert residual(psi, constraints) > 0
+
+    def test_matches_partial_conjugate_path(self):
+        def former(psi, constraints):
+            # each conjugated vector re-canonicalized through product_vector
+            total = 0.0
+            for c in constraints:
+                if c.codim:
+                    w = partial_conjugate(psi, c.subset).full_vector()
+                    z = c.complement_basis.conj() @ w
+                    total += float(np.vdot(z, z).real)
+            return total
+
+        rng = rng_for(12)
+        spec = problem_spec((2, 2, 2), [({2}, 1), ((), 1), ({3}, 1), ({1, 2}, 0)])
+        for seed in (31, 32, 33):
+            constraints = random_instance(spec, seed)
+            for _ in range(20):
+                psi = random_product_vector(rng, (2, 2, 2))
+                expected = former(psi, constraints)
+                assert abs(residual(psi, constraints) - expected) <= 1e-12 * expected
+            # at solutions both values are rounding noise of order 1e-32
+            report = solve(constraints, (2, 2, 2), SolverConfig(restarts=120, seed=2))
+            assert report.solutions
+            for sol in report.solutions:
+                assert abs(residual(sol.vector, constraints) - former(sol.vector, constraints)) < 1e-28
+
 
 class TestReduceInstance:
     def test_complementary_pair_conjugates(self):
