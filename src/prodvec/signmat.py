@@ -21,22 +21,25 @@ import numpy as np
 
 from .errors import ParseError, UnsupportedSizeError
 
-# The Python-int Ryser doubles with each n: on a 2-CPU Xeon host, `prodvec
-# permanent` takes 49 s on a random 24 x 24 sign matrix, the slowest input
+# Glynn's sum doubles with each n: on a 2-CPU Xeon host, `prodvec
+# permanent` takes 14 s on a random 24 x 24 sign matrix, the slowest input
 # admitted.
 PERMANENT_MAX_N = 24
-# int64 Ryser accumulators are provably overflow-free only while
-# 2^n * n^n < 2^63; the batched kernel refuses larger matrices.
+# batch_permanent's int64 Glynn sum is bounded by 2^(n-1) * n^n, which is
+# below 2^63 exactly while n <= 13; the batched kernel refuses larger matrices.
 MAX_INT64_N = 13
 NAIVE_MAX_N = 9
 ADDITION_MAX_N = 8
 CANONICAL_MAX_SIZE = 6
 # invariants' Python-int Bareiss grows about as size^4.4: on a 2-CPU Xeon
-# host, 0.45 s for a 128 x 128 Hadamard matrix against 37 s for a random
+# host, 0.26 s for a random 128 x 128 matrix against 37 s for a random
 # 400 x 400 one.  Larger inputs are refused before any work.  Square inputs
-# up to PERMANENT_MAX_N also pay the Ryser permanent, so the slowest input
-# admitted is a random 24 x 24 one: 57 s for `prodvec invariants`.
+# up to PERMANENT_MAX_N also pay the Glynn permanent, so the slowest input
+# admitted is a random 24 x 24 one: 14 s for `prodvec invariants`.
 INVARIANTS_MAX_SIZE = 128
+# Sign vectors per step of the single-matrix Glynn sum; bounds its
+# (chunk, n) temporaries.
+_GLYNN_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -150,44 +153,43 @@ def associated_matrix(subsets: Sequence[Iterable[int]], n: int) -> SignMatrix:
 # -- permanents --------------------------------------------------------------
 
 
-def _ryser_bigint(rows: Sequence[Sequence[int]]) -> int:
-    """Gray-code Ryser with Python ints; exact for any size."""
-    n = len(rows)
-    rowsums = [0] * n
+def _glynn(a: np.ndarray) -> int:
+    """Exact permanent of a square integer array by Glynn's formula
+    (Glynn 2010, Eur. J. Combin. 31): per(a) = 2^-(n-1) * sum over d in
+    {+-1}^n with d_0 = +1 of (prod_k d_k) * prod_i (a d)_i.  The row sums
+    a d are taken in a's dtype and multiplied in Python ints."""
+    m = a.shape[0] - 1
     total = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        gray = k ^ (k >> 1)
-        if (gray >> j) & 1:
-            for i in range(n):
-                rowsums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                rowsums[i] -= rows[i][j]
-        prod = 1
-        for v in rowsums:
-            prod *= v
-            if prod == 0:
-                break
-        if gray.bit_count() & 1:
-            total -= prod
-        else:
-            total += prod
-    return -total if n & 1 else total
+    for start in range(0, 1 << m, _GLYNN_CHUNK):
+        k = np.arange(start, min(start + _GLYNN_CHUNK, 1 << m), dtype=np.int64)
+        d = 1 - 2 * ((k[:, None] >> np.arange(m)) & 1)  # d_1 .. d_m
+        sums = a[:, 0] + d @ a[:, 1:].T
+        total += (sums.astype(object).prod(axis=1) * d.prod(axis=1)).sum()
+    return int(total) >> m
 
 
 def permanent(m: SignMatrix) -> int:
-    """Exact permanent via Ryser's inclusion-exclusion with Gray-code updates."""
+    """Exact permanent by Glynn's formula (see ``_glynn``).
+
+    Row sums of a sign matrix are at most n <= PERMANENT_MAX_N in
+    modulus, so they are taken in int64; their products in Python ints.
+    """
     if not m.is_square:
         raise ValueError("permanent requires a square matrix")
     n = m.rows
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent supports n <= {PERMANENT_MAX_N}")
-    return _ryser_bigint(m.entries)
+    return _glynn(np.array(m.entries, dtype=np.int64))
 
 
 def batch_permanent(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a (B, n, n) int batch; exact while n <= MAX_INT64_N."""
+    """Permanents of a (B, n, n) batch of sign matrices by Glynn's formula.
+
+    The sign vectors d (d_0 = +1) run in Gray-code order, so each step
+    flips one d_t and moves every row sum by twice column t.  Row sums
+    are at most n in modulus, so |total| <= 2^(n-1) * n^n, which is
+    below 2^63 exactly when n <= MAX_INT64_N: the int64 sum is exact.
+    """
     mats = np.asarray(mats, dtype=np.int64)
     b, n, n2 = mats.shape
     if n != n2:
@@ -196,23 +198,19 @@ def batch_permanent(mats: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix size must be at least 1, got {n}")
     if n > MAX_INT64_N:
         raise ValueError(f"int64 kernel limited to n <= {MAX_INT64_N}")
-    rowsums = np.zeros((b, n), dtype=np.int64)
-    total = np.zeros(b, dtype=np.int64)
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        gray = k ^ (k >> 1)
-        if gray & (1 << j):
-            rowsums += mats[:, :, j]
+    rowsums = mats.sum(axis=2)
+    total = rowsums.prod(axis=1)
+    for k in range(1, 1 << (n - 1)):
+        t = (k & -k).bit_length()
+        if (k ^ (k >> 1)) >> (t - 1) & 1:
+            rowsums -= 2 * mats[:, :, t]
         else:
-            rowsums -= mats[:, :, j]
-        prod = rowsums.prod(axis=1)
-        if gray.bit_count() & 1:
-            total -= prod
+            rowsums += 2 * mats[:, :, t]
+        if k & 1:
+            total -= rowsums.prod(axis=1)
         else:
-            total += prod
-    if n & 1:
-        np.negative(total, out=total)
-    return total
+            total += rowsums.prod(axis=1)
+    return total >> (n - 1)
 
 
 def permanent_naive(m: SignMatrix) -> int:
@@ -232,13 +230,6 @@ def permanent_naive(m: SignMatrix) -> int:
     return total
 
 
-def _permanent_int_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Permanent of a small general integer matrix (empty matrix -> 1)."""
-    if not rows:
-        return 1
-    return _ryser_bigint(rows)
-
-
 def permanent_addition(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
     """per(a + b) evaluated through the expansion over complementary minors.
 
@@ -254,6 +245,10 @@ def permanent_addition(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
         raise ValueError("matrices must be square and of equal size")
     if n > ADDITION_MAX_N:
         raise ValueError(f"permanent_addition supports n <= {ADDITION_MAX_N}")
+
+    def minor(rows):
+        return _glynn(np.array(rows, dtype=object)) if rows else 1
+
     total = 0
     indices = list(range(n))
     for size in range(n + 1):
@@ -263,7 +258,7 @@ def permanent_addition(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
                 t_rest = [j for j in indices if j not in t]
                 kept = [[a[i][j] for j in t] for i in s]
                 deleted = [[b[i][j] for j in t_rest] for i in s_rest]
-                total += _permanent_int_rows(kept) * _permanent_int_rows(deleted)
+                total += minor(kept) * minor(deleted)
     return total
 
 
@@ -543,12 +538,13 @@ def classify_vanishing(
     are +1 (every class has such a member, by negations alone), and
     deduplicate by ``canonical_form``.  ``exhaustive`` (n <= 4) runs the
     whole sweep and ignores ``budget``, so the result is the full list
-    of classes.  ``normalized-search`` (n <= 6) is complete for
-    existence but not for class counting: ``budget`` caps the number of
-    vanishing matrices collected before deduplication (None or 0 means
-    no cap), and the sweep stops once it has that many.  At n = 6 a
-    budget is required: uncapped, the search would canonicalize millions
-    of vanishing matrices at about 2 ms each.
+    of classes.  ``normalized-search`` (n <= 6) runs the whole sweep
+    too unless ``budget`` caps the number of vanishing matrices
+    collected before deduplication (None or 0 means no cap): uncapped,
+    its class list is complete; capped, the sweep stops once it has that
+    many and the list may be partial.  At n = 6 a budget is required:
+    uncapped, the search would canonicalize millions of vanishing
+    matrices at about 2 ms each.
     """
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")

@@ -24,8 +24,6 @@ Verdict basis tags (one fixed rule per tag):
 - ``qubit-solvable-count``: all qubit factors with party count one less
   than a power of two and N_E <= n; a solution exists (no square sign
   matrix of that order has vanishing permanent).
-- ``nonvanishing-certificate``: N_E <= N_U and the sign product is
-  nonzero in the truncated ring; a solution exists.
 
 A zero sign product never certifies nonexistence: whether nonexistence
 can follow from vanishing alone is open, so the engine answers
@@ -204,8 +202,6 @@ def verdict(spec: ProblemSpec) -> Verdict:
         return make(INFINITELY_MANY, "small-system")
     if all_qubits and n >= 3 and (n + 1) & n == 0 and n_e <= n:
         return make(EXISTS_NONZERO, "qubit-solvable-count")
-    if n_e <= n_u and not vanishes:
-        return make(EXISTS_NONZERO, "nonvanishing-certificate")
     return make(INCONCLUSIVE, None)
 
 

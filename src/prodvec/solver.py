@@ -38,6 +38,12 @@ MAX_SPACE_DIM = 4096
 # of at most this size, checked before allocation; a restart whose own
 # share exceeds it runs alone.
 MAX_BATCH_ENTRIES = 1 << 17
+# Largest restarts * entries_per_start one solve runs, checked before any
+# draw.  On a 2-CPU Xeon host a restart costs 0.7 to 2.7 us per entry for
+# product dimensions up to 256 ((2, 2) to (4, 4, 4, 4)), so the limit is
+# 6 to 23 s of restarts there.  The count does not see the product
+# dimension, which costs more beyond: 183 us per entry at (2,)^12.
+MAX_RESTART_ENTRIES = 1 << 23
 
 # Why a restart stopped; SolveReport.exit_reasons counts them.
 EXIT_REASONS = ("converged", "flat-gradient", "no-step", "stagnated", "max-iterations")
@@ -238,6 +244,11 @@ class SolveReport:
     exit_reasons: dict[str, int] = field(default_factory=dict)
 
 
+def _entries_per_start(n_params: int, max_codim: int) -> int:
+    """float64 entries one start adds to a constraint's Jacobian block and JᵀJ."""
+    return (2 * max_codim + n_params) * n_params
+
+
 class _Problem:
     """Residuals and normal equations of B starts at once, in real-ified coordinates.
 
@@ -277,8 +288,7 @@ class _Problem:
 
     @property
     def entries_per_start(self) -> int:
-        """float64 entries one start adds to a constraint's Jacobian block and JᵀJ."""
-        return (2 * self.max_codim + self.n_params) * self.n_params
+        return _entries_per_start(self.n_params, self.max_codim)
 
     @staticmethod
     def _sq_norms(f: np.ndarray) -> np.ndarray:
@@ -475,6 +485,32 @@ def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> lis
     return reps
 
 
+def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
+    """Restarts ``solve`` runs on an instance of ``spec``.
+
+    ``config.restarts``, by default max(500, 50 * generic count) when that
+    count is defined and 500 otherwise; at most 8 when every constraint
+    is vacuous.  Raises UnsupportedSizeError when restarts times the
+    entries per start exceeds MAX_RESTART_ENTRIES.
+    """
+    restarts = config.restarts
+    if restarts is not None and restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
+    if restarts is None:
+        expected = generic_count(spec)
+        restarts = max(500, 50 * expected) if expected else 500
+    max_codim = max((c.codim for c in spec.constraints), default=0)
+    if not max_codim:
+        restarts = min(restarts, 8)
+    work = restarts * _entries_per_start(2 * sum(spec.dims), max_codim)
+    if work > MAX_RESTART_ENTRIES:
+        raise UnsupportedSizeError(
+            f"{restarts} restarts of {work // restarts} entries each exceed"
+            f" the supported {MAX_RESTART_ENTRIES}"
+        )
+    return restarts
+
+
 def solve(
     constraints: Sequence[SubspaceConstraint],
     dims: Sequence[int],
@@ -490,16 +526,9 @@ def solve(
     point.
     """
     config = config or SolverConfig()
-    if config.restarts is not None and config.restarts < 0:
-        raise ValueError(f"restarts must be non-negative, got {config.restarts}")
     dims = tuple(int(d) for d in dims)
     problem = _Problem(dims, constraints)
-    restarts = config.restarts
-    if restarts is None:
-        expected = generic_count(spec_of_constraints(dims, constraints))
-        restarts = max(500, 50 * expected) if expected else 500
-    if not problem.constraints:
-        restarts = min(restarts, 8)
+    restarts = restart_count(spec_of_constraints(dims, constraints), config)
     seed = int(config.seed) & (2**64 - 1)
 
     found = [np.empty((0, d), dtype=complex) for d in dims]

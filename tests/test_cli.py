@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prodvec
-from prodvec import cli, mpstate, signmat, solver
+from prodvec import cli, mpstate, signmat, solver, truncpoly
 from prodvec.errors import ParseError
 from prodvec.mpstate import maximally_mixed, write_state
 from prodvec.solvability import problem_spec
@@ -355,6 +355,51 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["solve", str(path)])
         assert rc == 1
         assert "8192" in err
+
+    def test_solve_restart_work_over_the_bound_is_1(self, capsys, tmp_path, monkeypatch):
+        # the default rule asks 50 * 369,600 restarts of a generic count of
+        # 369,600; an explicit --restarts may ask as many; refuse before drawing
+        class NoDraw:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("drew before checking the restart work")
+
+        monkeypatch.setattr(solver.np.random, "Generator", NoDraw)
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"dims": [4] * 4, "constraints": [{"subset": [], "codim": 12}]}))
+        ex25 = tmp_path / "ex.json"
+        ex25.write_text(json.dumps(EX25_DOC))
+        for argv in (["solve", str(path)], ["solve", str(ex25), "--restarts", "100000000"]):
+            rc, out, err = run(capsys, argv)
+            assert rc == 1
+            assert out == ""
+            assert f"the supported {solver.MAX_RESTART_ENTRIES}" in err
+
+    def test_survey_work_over_the_bound_is_1(self, capsys, monkeypatch):
+        class NoDraw:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("drew before checking the survey work")
+
+        monkeypatch.setattr(cli.np.random, "Generator", NoDraw)
+        for n, samples in (("13", "20000"), ("1", str(cli.SURVEY_MAX_STEPS + 1))):
+            rc, out, err = run(capsys, ["survey", "--n", n, "--samples", samples])
+            assert rc == 1
+            assert out == ""
+            assert f"at most {cli.SURVEY_MAX_STEPS}" in err
+
+    def test_oversized_ring_is_1(self, capsys, tmp_path, monkeypatch):
+        # (12,)^6 has 2,985,984 cells; 60 equations keep the spec below the
+        # 66 unknowns, so verdict would expand it
+        def no_rows(sigma):
+            raise AssertionError("read the sign rows before checking the ring size")
+
+        monkeypatch.setattr(truncpoly, "_sign_rows", no_rows)
+        cons = [{"subset": s, "codim": 12} for s in ([], [1], [2], [3], [1, 2])]
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"dims": [12] * 6, "constraints": cons}))
+        rc, out, err = run(capsys, ["verdict", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert "2985984 cells" in err
 
     def test_oversized_state_is_1(self, capsys, tmp_path, monkeypatch):
         # the header alone asks for a 10^6 x 10^6 matrix; refuse before allocating

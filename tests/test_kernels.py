@@ -7,7 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from prodvec.signmat import batch_permanent, find_vanishing, permanent, sign_matrix
+from prodvec.signmat import (
+    batch_permanent,
+    find_vanishing,
+    permanent,
+    permanent_addition,
+    permanent_naive,
+    sign_matrix,
+)
 
 
 def naive_permanent(m):
@@ -16,6 +23,78 @@ def naive_permanent(m):
         math.prod(m[i][p[i]] for i in range(n))
         for p in itertools.permutations(range(n))
     )
+
+
+def ryser_reference(rows):
+    """Gray-code Ryser with Python ints; exact for any size, independent of Glynn."""
+    n = len(rows)
+    rowsums = [0] * n
+    total = 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        gray = k ^ (k >> 1)
+        if (gray >> j) & 1:
+            for i in range(n):
+                rowsums[i] += rows[i][j]
+        else:
+            for i in range(n):
+                rowsums[i] -= rows[i][j]
+        prod = 1
+        for v in rowsums:
+            prod *= v
+            if prod == 0:
+                break
+        if gray.bit_count() & 1:
+            total -= prod
+        else:
+            total += prod
+    return -total if n & 1 else total
+
+
+def random_signs(rng, shape):
+    return (2 * rng.integers(0, 2, size=shape) - 1).astype(np.int8)
+
+
+class TestNonGlynnOracles:
+    """Both Glynn kernels against Ryser's and the permutation sum."""
+
+    def test_permanent_matches_ryser_beyond_naive_limit(self):
+        rng = np.random.Generator(np.random.Philox(key=[10, 0]))
+        for n in range(10, 17):
+            m = random_signs(rng, (n, n))
+            assert permanent(sign_matrix(m)) == ryser_reference(m.tolist())
+
+    def test_every_matrix_of_size_one_and_two(self):
+        for n in (1, 2):
+            for bits in range(1 << (n * n)):
+                m = np.array([1 - 2 * ((bits >> i) & 1) for i in range(n * n)]).reshape(n, n)
+                expected = permanent_naive(sign_matrix(m))
+                assert ryser_reference(m.tolist()) == expected
+                assert permanent(sign_matrix(m)) == expected
+                assert int(batch_permanent(m[None])[0]) == expected
+
+    def test_batch_all_ones_at_the_int64_limit(self):
+        # |per| = 13! needs the whole 2^12 * 13^13 bound of the int64 sum
+        ones = np.ones((2, 13, 13), dtype=np.int8)
+        ones[1, 0] = -1
+        assert batch_permanent(ones).tolist() == [math.factorial(13), -math.factorial(13)]
+
+    def test_batch_matches_naive_and_permanent(self):
+        rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+        for n in range(1, 14):
+            mats = random_signs(rng, (6 if n <= 8 else 2, n, n))
+            oracle = permanent_naive if n <= 8 else permanent
+            expected = [oracle(sign_matrix(m)) for m in mats]
+            assert batch_permanent(mats).tolist() == expected
+
+    def test_addition_with_huge_entries_matches_ryser(self):
+        rng = random.Random(12)
+        big = 10**21
+        for n in range(1, 6):
+            a = [[rng.choice((-big, big)) + rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            b = [[rng.choice((-big, big, 1, -1)) for _ in range(n)] for _ in range(n)]
+            total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            assert permanent_addition(a, b) == ryser_reference(total)
 
 
 class TestKernel:

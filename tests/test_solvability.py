@@ -243,6 +243,26 @@ class TestVerdict:
             ]
             assert verdict(problem_spec(pdims, pcons)).kind == verdict(spec).kind
 
+    def test_critical_product_vanishes_iff_top_is_zero(self):
+        # a critical sign product is homogeneous of the top degree, so no
+        # rule after critical-top-coefficient can see it nonzero
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(150):
+            dims = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(2, 5)))
+            n = len(dims)
+            n_u = sum(d - 1 for d in dims)
+            codims = [0] * rng.randint(1, n_u)
+            for _ in range(n_u):
+                codims[rng.randrange(len(codims))] += 1
+            subsets = [{j for j in range(1, n + 1) if rng.random() < 0.5} for _ in codims]
+            v = verdict(problem_spec(dims, list(zip(subsets, codims))))
+            assert v.n_equations == v.n_unknowns
+            assert v.product_vanishes == (v.top_coefficient == 0)
+            assert (v.basis == "critical-top-coefficient") == (not v.product_vanishes)
+            seen.add(v.product_vanishes)
+        assert seen == {True, False}
+
 
 class TestGenericCount:
     def test_two_qutrit(self):
