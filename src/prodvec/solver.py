@@ -4,8 +4,10 @@ Independent of the exact decision engine: membership of the conjugated
 product vector in each prescribed subspace is recast as a smooth real
 least-squares problem over the product of unit spheres, attacked by
 multi-start damped Gauss-Newton (Levenberg-Marquardt) on the stacked
-real and imaginary parts of the basis inner products.  Restart i (from
-0) draws its start from the Philox stream keyed by (seed, i + 1);
+real and imaginary parts of the basis inner products.  All restarts
+draw their starts, in restart order, from one Philox stream keyed by
+(seed, 1): restart i (from 0) takes the i-th row of standard normals in
+the real parameter layout, so its start depends only on (seed, i);
 random_instance draws from (seed, 0).  Restarts run as batches of rows,
 and every row's arithmetic is its own, so a restart ends at the same
 point alone or in any batch: results do not depend on batching.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedSizeError
-from .solvability import ProblemSpec, generic_count, parallel_groups, problem_spec
+from .solvability import ProblemSpec, generic_count, problem_spec
 
 _PHASE_EPS = 1e-12
 # Largest product-space dimension prod(dims) for which a d x d state or a
@@ -42,8 +44,16 @@ MAX_BATCH_ENTRIES = 1 << 17
 # draw.  On a 2-CPU Xeon host a restart costs 0.7 to 2.7 us per entry for
 # product dimensions up to 256 ((2, 2) to (4, 4, 4, 4)), so the limit is
 # 6 to 23 s of restarts there.  The count does not see the product
-# dimension, which costs more beyond: 183 us per entry at (2,)^12.
+# dimension; MAX_RESTART_WORK does.
 MAX_RESTART_ENTRIES = 1 << 23
+# Largest restarts * max_iterations * sum of codims * prod(dims) one solve
+# runs, checked before any draw: an LM iteration contracts each complement
+# basis (codim x prod(dims) entries) once per party.  At the limit, solves
+# took 0.3 to 1.1 s on (16,16) to (64,64) and on (4,)^4, 2.7 to 5.6 s on
+# (2,)^8 and (2,)^10, and up to 13.3 s on (2,)^12 (2-CPU Xeon host, one
+# BLAS thread): qubits have the most parties per dimension.  The largest
+# solves asked: tier-1 7.7e7, benchmark 1.6e6.
+MAX_RESTART_WORK = 1 << 27
 
 # Why a restart stopped; SolveReport.exit_reasons counts them.
 EXIT_REASONS = ("converged", "flat-gradient", "no-step", "stagnated", "max-iterations")
@@ -166,38 +176,6 @@ def spec_of_constraints(dims: Sequence[int], constraints: Sequence[SubspaceConst
     return problem_spec(dims, [(c.subset, c.codim) for c in constraints])
 
 
-def reduce_instance(
-    dims: Sequence[int], constraints: Sequence[SubspaceConstraint]
-) -> list[SubspaceConstraint]:
-    """Merge constraints with equal or complementary subsets, combining subspaces.
-
-    An equal-subset pair intersects the two subspaces; a complementary
-    pair intersects with the entrywise conjugate of the second (the
-    conjugated membership relation rewritten over the kept subset).  The
-    merged complement basis is re-orthonormalized, with its rank as the
-    new codimension.
-    """
-    out = []
-    for subset, members in parallel_groups([c.subset for c in constraints], len(dims)):
-        if len(members) == 1:
-            out.append(SubspaceConstraint(subset, constraints[members[0]].complement_basis))
-            continue
-        rows = []
-        for i in members:
-            c = constraints[i]
-            b = c.complement_basis
-            rows.append(b if frozenset(c.subset) == subset else b.conj())
-        stacked = np.vstack([r for r in rows if r.shape[0]])
-        if stacked.shape[0] == 0:
-            basis = np.zeros((0, math.prod(dims)), dtype=complex)
-        else:
-            _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-            keep = sv > 1e-10 * max(sv[0], 1.0)
-            basis = np.ascontiguousarray(vh[keep])
-        out.append(SubspaceConstraint(subset, basis))
-    return out
-
-
 def residual(psi: ProductVector, constraints: Sequence[SubspaceConstraint]) -> float:
     """Sum of squared moduli of all basis inner products; zero iff all memberships hold."""
     total = 0.0
@@ -309,20 +287,26 @@ class _Problem:
             out.append(f)
         return out
 
+    def complex_factors(self, x: np.ndarray) -> list[np.ndarray]:
+        """(B, d_j) complex factors of (B, n_params) rows in real parameter layout."""
+        return [
+            x[:, lo : lo + d] + 1j * x[:, lo + d : lo + 2 * d]
+            for lo, d in zip(self.offsets, self.dims)
+        ]
+
     def step(self, factors: Sequence[np.ndarray], delta: np.ndarray) -> list[np.ndarray]:
         """Renormalized factors + delta, with delta in real parameter layout."""
-        moved = []
-        for f, lo, d in zip(factors, self.offsets, self.dims):
-            moved.append(f + (delta[:, lo : lo + d] + 1j * delta[:, lo + d : lo + 2 * d]))
-        return self.renormalize(moved)
+        return self.renormalize([f + u for f, u in zip(factors, self.complex_factors(delta))])
 
-    def cost(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+    def cost(self, factors: Sequence[np.ndarray], penalty: bool = True) -> np.ndarray:
+        """Squared residual norm of each row, with or without the norm penalties."""
         total = np.zeros(len(factors[0]))
         for conj, t in self.constraints:
             z = np.einsum(self.einsum_full, t, *self._conjugated(factors, conj))
             total += self._sq_norms(z)
-        for f in factors:
-            total += (self._sq_norms(f) - 1.0) ** 2
+        if penalty:
+            for f in factors:
+                total += (self._sq_norms(f) - 1.0) ** 2
         return total
 
     def normal_equations(self, factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +381,6 @@ def _minimize_batch(
     factors = problem.renormalize(factors)
     n_starts = len(factors[0])
     out_factors = [np.empty_like(f) for f in factors]
-    out_cost = np.empty(n_starts)
     out_reason = np.empty(n_starts, dtype=np.intp)
     rows = np.arange(n_starts)  # the input row of every live start
     cost = problem.cost(factors)
@@ -408,7 +391,6 @@ def _minimize_batch(
         done = rows[mask]
         for out, f in zip(out_factors, factors):
             out[done] = f[mask]
-        out_cost[done] = cost[mask]
         out_reason[done] = reason
         keep = ~mask
         factors = [f[keep] for f in factors]
@@ -453,7 +435,7 @@ def _minimize_batch(
         rel = rel[stepped]
         retire((rel < 1e-9) & (cost > reject_threshold), _STAGNATED)
     retire(np.ones(rows.size, dtype=bool), _MAX_ITERATIONS)
-    return out_factors, out_cost, out_reason
+    return out_factors, problem.cost(out_factors, penalty=False), out_reason
 
 
 def count_distinct(solutions: Sequence[ProductVector], tol: float) -> int:
@@ -491,7 +473,9 @@ def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
     ``config.restarts``, by default max(500, 50 * generic count) when that
     count is defined and 500 otherwise; at most 8 when every constraint
     is vacuous.  Raises UnsupportedSizeError when restarts times the
-    entries per start exceeds MAX_RESTART_ENTRIES.
+    entries per start exceeds MAX_RESTART_ENTRIES, or restarts times
+    ``config.max_iterations`` times the sum of codims times prod(dims)
+    exceeds MAX_RESTART_WORK.
     """
     restarts = config.restarts
     if restarts is not None and restarts < 0:
@@ -508,6 +492,14 @@ def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
             f"{restarts} restarts of {work // restarts} entries each exceed"
             f" the supported {MAX_RESTART_ENTRIES}"
         )
+    codims, d = sum(c.codim for c in spec.constraints), math.prod(spec.dims)
+    work = restarts * config.max_iterations * codims * d
+    if work > MAX_RESTART_WORK:
+        raise UnsupportedSizeError(
+            f"{restarts} restarts of {config.max_iterations} iterations on codimension"
+            f" {codims} in dimension {d} ask {work} units of work; at most"
+            f" {MAX_RESTART_WORK} are supported"
+        )
     return restarts
 
 
@@ -518,12 +510,15 @@ def solve(
 ) -> SolveReport:
     """Multi-start minimization of the membership residual.
 
-    Every restart below ``accept_threshold`` is a candidate, and each
-    projective class of candidates gives one solution (see ``_dedupe``).
-    Restart i (from 0) draws from the stream keyed by (seed, i + 1).
-    When all constraints are vacuous the residual is identically zero
-    and only a handful of restarts are run, each returning its start
-    point.
+    The constraints are taken as given: parallel ones are not merged,
+    which leaves the zero set unchanged.  Every restart below
+    ``accept_threshold`` is a candidate, and each projective class of
+    candidates gives one solution (see ``_dedupe``).  One stream keyed
+    by (seed, 1) supplies every start in restart order, so restart i
+    (from 0) starts from the same point whatever the batching and
+    however many restarts follow it.  When all constraints are vacuous
+    the residual is identically zero and only a handful of restarts are
+    run, each returning its start point.
     """
     config = config or SolverConfig()
     dims = tuple(int(d) for d in dims)
@@ -535,14 +530,11 @@ def solve(
     found_costs = np.empty(0)
     floor = math.inf
     reasons = np.zeros(len(EXIT_REASONS), dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     batch = max(1, MAX_BATCH_ENTRIES // problem.entries_per_start)
     for lo in range(0, restarts, batch):
-        rows = range(lo, min(lo + batch, restarts))
-        starts = [np.empty((len(rows), d), dtype=complex) for d in dims]
-        for row, i in enumerate(rows):
-            rng = np.random.Generator(np.random.Philox(key=[seed, i + 1]))
-            for f, d in zip(starts, dims):
-                f[row] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rows = min(batch, restarts - lo)
+        starts = problem.complex_factors(rng.standard_normal((rows, problem.n_params)))
         factors, costs, why = _minimize_batch(
             problem, starts, config.max_iterations, config.reject_threshold
         )

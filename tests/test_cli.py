@@ -374,6 +374,25 @@ class TestExitCodes:
             assert out == ""
             assert f"the supported {solver.MAX_RESTART_ENTRIES}" in err
 
+    def test_solve_restart_work_in_the_product_dimension_is_1(self, capsys, tmp_path, monkeypatch):
+        # 500 restarts on (2,)^12 fit the entries bound (3,456 entries each)
+        # but ask 500 * 120 * 12 * 4096 units of work; refuse before drawing
+        class NoDraw:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("drew before checking the restart work")
+
+        def no_restart(*args, **kwargs):
+            raise AssertionError("ran a restart before refusing")
+
+        monkeypatch.setattr(solver.np.random, "Generator", NoDraw)
+        monkeypatch.setattr(solver, "_minimize_batch", no_restart)
+        path = tmp_path / "qubits.json"
+        path.write_text(json.dumps({"dims": [2] * 12, "constraints": [{"subset": [1], "codim": 12}]}))
+        rc, out, err = run(capsys, ["solve", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert f"at most {solver.MAX_RESTART_WORK}" in err
+
     def test_survey_work_over_the_bound_is_1(self, capsys, monkeypatch):
         class NoDraw:
             def __init__(self, *args, **kwargs):

@@ -12,7 +12,6 @@ from prodvec.solver import (
     partial_conjugate,
     product_vector,
     random_instance,
-    reduce_instance,
     residual,
     solve,
     subspace_constraint,
@@ -37,11 +36,17 @@ def two_qubit_infeasible():
 
 
 def restart_starts(dims, seed, count):
-    """The start factors of restarts 0..count-1, drawn as ``solve`` draws them."""
+    """The start factors of restarts 0..count-1, drawn as ``solve`` draws them:
+    one (seed, 1) stream, one row per restart holding the real then the
+    imaginary parts of each factor, party by party."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     out = []
-    for i in range(count):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i + 1]))
-        out.append([rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims])
+    for row in rng.standard_normal((count, 2 * sum(dims))):
+        factors, lo = [], 0
+        for d in dims:
+            factors.append(row[lo : lo + d] + 1j * row[lo + d : lo + 2 * d])
+            lo += 2 * d
+        out.append(factors)
     return out
 
 
@@ -220,51 +225,41 @@ class TestResidual:
                 assert abs(residual(sol.vector, constraints) - former(sol.vector, constraints)) < 1e-28
 
 
-class TestReduceInstance:
-    def test_complementary_pair_conjugates(self):
-        # psi^G({2}) in span-perp(b) merged with psi^G({1}) in span-perp(c):
-        # {1} complements {2} on two parties, second basis enters conjugated
-        b = np.array([1, 1j, 0, 0], dtype=complex) / np.sqrt(2)
-        c = np.array([0, 0, 1, -1j], dtype=complex) / np.sqrt(2)
-        merged = reduce_instance(
-            (2, 2),
-            [subspace_constraint({2}, b), subspace_constraint({1}, c)],
-        )
-        assert len(merged) == 1
-        assert merged[0].subset == frozenset({1})
+def merged_by_hand(constraints):
+    """One constraint for a list of parallel ones: the first subset, with the
+    rows of every complementary member conjugated and the stack
+    re-orthonormalized."""
+    first = constraints[0].subset
+    rows = np.vstack(
+        [c.complement_basis if c.subset == first else c.complement_basis.conj() for c in constraints]
+    )
+    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    return [subspace_constraint(first, vh[sv > 1e-10 * sv[0]])]
+
+
+class TestParallelConstraints:
+    """``solve`` takes parallel constraints as given; merging them would not
+    move the zero set."""
+
+    @pytest.mark.parametrize(
+        "cons",
+        [
+            [({2}, 1), ({1}, 1)],  # complementary on two parties
+            [({2}, 1), ({2}, 1)],  # equal
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_unmerged_pair_matches_merged(self, cons, seed):
+        constraints = random_instance(problem_spec((2, 2), cons), seed)
+        merged = merged_by_hand(constraints)
         assert merged[0].codim == 2
-        rows = merged[0].complement_basis
-        # the merged complement contains conj(b) and c directions
-        for target in (b.conj(), c):
-            proj = rows.conj().T @ (rows @ target.conj())
-            assert np.linalg.norm(proj.conj() - target) < 1e-10
-
-    def test_merge_preserves_complement_span(self):
-        spec = problem_spec((2, 2), [({2}, 1), ({1}, 1), ({2}, 1)])
-        constraints = random_instance(spec, 17)
-        merged = reduce_instance((2, 2), constraints)
-        assert len(merged) == 1 and merged[0].codim == 3
-        assert merged[0].subset == frozenset({1})
-        # rows kept for subset {1} as-is, subset {2} rows conjugated
-        stacked = np.vstack(
-            [
-                c.complement_basis if c.subset == frozenset({1}) else c.complement_basis.conj()
-                for c in constraints
-            ]
-        )
-        q, _ = np.linalg.qr(stacked.T)
-        proj_expected = q @ q.conj().T
-        rows = merged[0].complement_basis
-        proj_merged = rows.T @ rows.conj()
-        assert np.allclose(proj_expected, proj_merged, atol=1e-10)
-
-    def test_untouched_constraints_keep_bases(self):
-        spec = problem_spec((2, 2), [({2}, 1), ((), 1)])
-        constraints = random_instance(spec, 23)
-        merged = reduce_instance((2, 2), constraints)
-        assert len(merged) == 2
-        for a, b in zip(constraints, merged):
-            assert np.array_equal(a.complement_basis, b.complement_basis)
+        cfg = SolverConfig(restarts=200, seed=seed)
+        report = solve(constraints, (2, 2), cfg)
+        assert report.solutions
+        for sol in report.solutions:
+            assert residual(sol.vector, constraints) < 1e-14
+            assert residual(sol.vector, merged) < 1e-14
+        assert report.distinct_count == solve(merged, (2, 2), cfg).distinct_count
 
 
 class TestSolve:
@@ -437,6 +432,60 @@ class TestBatching:
         assert len(stacked_calls) > 1
         assert report.distinct_count == expected.distinct_count == 2
         assert_same_report(report, expected)
+
+
+class TestOneStream:
+    SHAPE = ((3, 3), [((), 4)])
+
+    def captured_starts(self, monkeypatch, restarts, batch_rows=None):
+        dims, cons = self.SHAPE
+        constraints = random_instance(problem_spec(dims, cons), 9)
+        if batch_rows is not None:
+            per_start = solver._Problem(dims, constraints).entries_per_start
+            monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", batch_rows * per_start)
+        starts = []
+        minimize = solver._minimize_batch
+
+        def capturing(problem, factors, *args):
+            starts.append([f.copy() for f in factors])
+            return minimize(problem, factors, *args)
+
+        monkeypatch.setattr(solver, "_minimize_batch", capturing)
+        solve(constraints, dims, SolverConfig(restarts=restarts, seed=9))
+        monkeypatch.undo()
+        return [np.concatenate(fs) for fs in zip(*starts)]
+
+    def test_leading_starts_do_not_depend_on_restart_count(self, monkeypatch):
+        few = self.captured_starts(monkeypatch, 5)
+        many = self.captured_starts(monkeypatch, 300)
+        chunked = self.captured_starts(monkeypatch, 300, batch_rows=7)
+        for a, b, c in zip(few, many, chunked):
+            assert a.shape[0] == 5 and b.shape[0] == c.shape[0] == 300
+            assert np.array_equal(a, b[:5])
+            assert np.array_equal(b, c)
+
+    def test_starts_are_rows_of_the_seeded_stream(self, monkeypatch):
+        got = self.captured_starts(monkeypatch, 40, batch_rows=7)
+        expected = [np.stack(fs) for fs in zip(*restart_starts(self.SHAPE[0], 9, 40))]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    def test_one_generator_per_solve(self, monkeypatch):
+        dims, cons = self.SHAPE
+        constraints = random_instance(problem_spec(dims, cons), 9)
+        per_start = solver._Problem(dims, constraints).entries_per_start
+        monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 7 * per_start)
+        built = []
+        real = np.random.Generator
+
+        def counting(bit_generator):
+            built.append(bit_generator)
+            return real(bit_generator)
+
+        monkeypatch.setattr(solver.np.random, "Generator", counting)
+        report = solve(constraints, dims, SolverConfig(restarts=60, seed=9))
+        assert report.restarts_used == 60
+        assert len(built) == 1
 
 
 class TestCountDistinct:
