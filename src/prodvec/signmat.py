@@ -230,6 +230,19 @@ def permanent_naive(m: SignMatrix) -> int:
     return total
 
 
+def _minor_permanents(a: list[list[int]]) -> dict[tuple[int, int], int]:
+    """per(a[S|T]) for all equal-size row and column bitmasks S, T, size by
+    size, expanding along the lowest row of S (the empty minor has permanent 1)."""
+    n = len(a)
+    per = {(0, 0): 1}
+    for _, same in itertools.groupby(sorted(range(1, 1 << n), key=int.bit_count), int.bit_count):
+        same = list(same)
+        for s, t in itertools.product(same, same):
+            row, rest = a[(s & -s).bit_length() - 1], s & (s - 1)
+            per[s, t] = sum(row[j] * per[rest, t ^ 1 << j] for j in range(n) if t >> j & 1)
+    return per
+
+
 def permanent_addition(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
     """per(a + b) evaluated through the expansion over complementary minors.
 
@@ -245,21 +258,9 @@ def permanent_addition(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
         raise ValueError("matrices must be square and of equal size")
     if n > ADDITION_MAX_N:
         raise ValueError(f"permanent_addition supports n <= {ADDITION_MAX_N}")
-
-    def minor(rows):
-        return _glynn(np.array(rows, dtype=object)) if rows else 1
-
-    total = 0
-    indices = list(range(n))
-    for size in range(n + 1):
-        for s in itertools.combinations(indices, size):
-            s_rest = [i for i in indices if i not in s]
-            for t in itertools.combinations(indices, size):
-                t_rest = [j for j in indices if j not in t]
-                kept = [[a[i][j] for j in t] for i in s]
-                deleted = [[b[i][j] for j in t_rest] for i in s_rest]
-                total += minor(kept) * minor(deleted)
-    return total
+    per_a, per_b = _minor_permanents(a), _minor_permanents(b)
+    full = (1 << n) - 1
+    return sum(v * per_b[full ^ s, full ^ t] for (s, t), v in per_a.items())
 
 
 # -- exact rank / determinant -------------------------------------------------

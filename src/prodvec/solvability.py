@@ -15,6 +15,8 @@ Verdict basis tags (one fixed rule per tag):
   ``generic=True``).
 - ``critical-top-coefficient``: N_E = N_U and the coefficient of the
   maximal monomial prod_j a_j^{d_j-1} is nonzero; a solution exists.
+  The product is then that monomial alone, and its coefficient comes
+  from the signed point sum of ``truncpoly._critical_top``, unexpanded.
 - ``underdetermined-nonvanishing``: N_E < N_U and the sign product is
   nonzero in the truncated ring; infinitely many solutions.
 - ``underdetermined-full-rank``: N_E < N_U and the reduced sign matrix
@@ -162,16 +164,21 @@ def verdict(spec: ProblemSpec) -> Verdict:
     r = len(red.constraints)
     # The sign product prod_i (sigma_i . a)^{k_i} in the truncated ring;
     # with no constraints it is the unit.  It is homogeneous of degree n_e
-    # and no monomial above degree n_u survives, so n_e > n_u makes it 0.
+    # and no monomial above degree n_u survives, so n_e > n_u makes it 0
+    # and n_e = n_u leaves the top monomial alone, taken unexpanded.
     if r:
         sigma = associated_matrix([c.subset for c in red.constraints], n)
         rank = integer_rank(sigma.entries)
+        codims = [c.codim for c in red.constraints]
     else:
         rank = 0
     if n_e > n_u:
         product = truncpoly.TruncatedPolynomial(red.dims)
+    elif r and n_e == n_u:
+        top = truncpoly._critical_top(sigma, codims, red.dims)
+        product = truncpoly.TruncatedPolynomial(red.dims, {tuple(d - 1 for d in red.dims): top})
     elif r:
-        product = truncpoly.expand_product(sigma, [c.codim for c in red.constraints], red.dims)
+        product = truncpoly.expand_product(sigma, codims, red.dims)
     else:
         product = truncpoly.TruncatedPolynomial(red.dims, {(0,) * n: 1})
     top = product.top_coefficient()

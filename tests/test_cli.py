@@ -420,6 +420,28 @@ class TestExitCodes:
         assert out == ""
         assert "2985984 cells" in err
 
+    def test_oversized_critical_ring_is_1(self, capsys, tmp_path, monkeypatch):
+        # (12,)^6 again, now with 66 equations for the 66 unknowns: verdict
+        # takes the critical top sum, which must refuse before it reads the
+        # rows or walks the ring
+        def fail(*args, **kwargs):
+            raise AssertionError("read the rows or walked the ring before checking its size")
+
+        monkeypatch.setattr(truncpoly, "_sign_rows", fail)
+        monkeypatch.setattr(truncpoly.np, "arange", fail)
+        monkeypatch.setattr(truncpoly.np, "unravel_index", fail)
+        codims = (12, 12, 12, 12, 18)
+        cons = [
+            {"subset": s, "codim": k}
+            for s, k in zip(([], [1], [2], [3], [1, 2]), codims)
+        ]
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"dims": [12] * 6, "constraints": cons}))
+        rc, out, err = run(capsys, ["verdict", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert "2985984 cells" in err
+
     def test_oversized_state_is_1(self, capsys, tmp_path, monkeypatch):
         # the header alone asks for a 10^6 x 10^6 matrix; refuse before allocating
         def no_alloc(*args, **kwargs):

@@ -126,6 +126,25 @@ class TestVerdict:
             product_vanishes=True,
         )
 
+    def test_critical_skips_the_expansion(self, monkeypatch):
+        # the critical product is its top monomial alone, and the top sum
+        # gives that coefficient unexpanded
+        def fail(*args):
+            raise AssertionError("expand_product called")
+
+        monkeypatch.setattr(solvability.truncpoly, "expand_product", fail)
+        spec = problem_spec((3, 4, 2), [({1}, 2), ({2}, 1), ((), 2), ({3}, 1)])
+        assert verdict(spec) == Verdict(
+            kind=EXISTS_NONZERO,
+            basis="critical-top-coefficient",
+            generic=False,
+            n_equations=6,
+            n_unknowns=6,
+            sigma_rank=3,
+            top_coefficient=4,
+            product_vanishes=False,
+        )
+
     def test_critical_top_coefficient(self):
         v = verdict(problem_spec((3, 3), [((), 4)]))
         assert v.kind == EXISTS_NONZERO

@@ -1,10 +1,13 @@
 """Exact truncated-ring arithmetic against independent expansion oracles."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
+from prodvec import truncpoly
 from prodvec.signmat import permanent, sign_matrix
 from prodvec.truncpoly import TruncatedPolynomial, coefficient_direct, expand_product
 
@@ -217,3 +220,87 @@ class TestQubitBridge:
             m = sign_matrix(rows)
             p = expand_product(m, [1] * n, (2,) * n)
             assert p.top_coefficient() == permanent(m)
+
+
+def top_bound(dims):
+    """N! / prod (d_j - 1)!, the bound on |top| the top sum reconstructs within."""
+    m = [d - 1 for d in dims]
+    return math.factorial(sum(m)) // math.prod(math.factorial(mj) for mj in m)
+
+
+class TestCriticalTop:
+    def test_matches_expansion_and_direct_coefficient(self):
+        rng = random.Random(4242)
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            dims = tuple(rng.randint(2, 5) for _ in range(n))
+            big_n = sum(d - 1 for d in dims)
+            rows = random_rows(rng, rng.randint(1, 4), n)
+            powers = [0] * len(rows)
+            for _ in range(big_n):
+                powers[rng.randrange(len(rows))] += 1
+            top = truncpoly._critical_top(rows, powers, dims)
+            assert top == expand_product(rows, powers, dims).top_coefficient()
+            if big_n <= 12:
+                assert top == coefficient_direct(rows, powers, [d - 1 for d in dims])
+
+    @pytest.mark.parametrize("rows", [EX25_ROWS, FIVE_QUBIT_1, FIVE_QUBIT_2])
+    def test_ex25_and_five_qubit_coefficients_as_tops(self, rows):
+        # the ring with dims m + 1 has a^m as its top monomial, so each
+        # degree-4 coefficient of these products is one top: all zero but
+        # the single surviving monomial of FIVE_QUBIT_2
+        sigma = sign_matrix(rows)
+        dims = (2, 2, 4) if rows is EX25_ROWS else (2,) * 5
+        p = expand_product(sigma, [1] * 4, dims)
+        tops = {}
+        for m in itertools.product(*(range(d) for d in dims)):
+            if sum(m) == 4:
+                tops[m] = truncpoly._critical_top(sigma, [1] * 4, [e + 1 for e in m])
+                assert tops[m] == p.coefficient(m)
+        nonzero = {m: c for m, c in tops.items() if c}
+        assert nonzero == ({(1, 1, 0, 1, 1): 8} if rows is FIVE_QUBIT_2 else {})
+
+    def test_all_plus_rows_reach_the_bound(self, monkeypatch):
+        # (sum_j a_j)^35 on (8,)^5: the top is the multinomial B itself, near
+        # 2^71, so three primes are taken; negated rows give -B
+        taken = []
+        primes_over = truncpoly._primes_over
+
+        def spy(bound):
+            taken.append((bound, primes_over(bound)))
+            return taken[-1][1]
+
+        monkeypatch.setattr(truncpoly, "_primes_over", spy)
+        dims = (8,) * 5
+        bound = top_bound(dims)
+        assert 2**71 < bound < 2**72
+        for sign in (1, -1):
+            rows = [[sign] * 5] * 3
+            assert truncpoly._critical_top(rows, [12, 12, 11], dims) == sign * bound
+        for asked, primes in taken:
+            assert asked == 2 * bound
+            assert len(primes) == 3
+            assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+
+    def test_two_parties_past_2_to_300(self):
+        dims = (160, 160)
+        assert top_bound(dims) > 2**300
+        rows, powers = [[1, 1], [1, -1]], [300, 18]
+        top = truncpoly._critical_top(rows, powers, dims)
+        assert top == coefficient_direct(rows, powers, (159, 159))
+        assert -(2**265) < top < -(2**264)
+
+    def test_primes(self):
+        bound = 2 * top_bound((1024, 1024))
+        primes = truncpoly._primes_over(bound)
+        assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        assert primes == sorted(set(primes), reverse=True)
+        assert primes[0] == 2**31 - 1
+        odd = np.arange(3, math.isqrt(2**31) + 1, 2)
+        for q in primes:
+            assert q < 2**31 and q % 2
+            assert np.all(q % odd)
+
+    def test_power_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            truncpoly._critical_top([[1, 1]], [3], (2, 2))
