@@ -73,8 +73,9 @@ def density_matrix(dims: Sequence[int], mat, tol: float = DEFAULT_RANK_TOL) -> D
         raise ValueError("matrix is not Hermitian within 1e-10")
     mat = (mat + mat.conj().T) / 2.0
     tr = float(np.trace(mat).real)
-    if abs(tr) < 1e-12:
-        raise ValueError("matrix has (near-)zero trace")
+    # a negative trace would flip the sign of every eigenvalue
+    if tr < 1e-12:
+        raise ValueError(f"matrix trace {tr:.3e} is not positive")
     if abs(tr - 1.0) > 1e-12:
         mat = mat / tr
     return DensityMatrix(dims, mat, tol)
@@ -304,8 +305,8 @@ def read_state(text: str, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
         dims = tuple(int(x) for x in header[len("dims:") :].split())
     except ValueError:
         raise ParseError("invalid dims header", start) from None
-    if not dims or any(d < 1 for d in dims):
-        raise ParseError("dims must be positive integers", start)
+    if not dims or any(d < 2 for d in dims):
+        raise ParseError("dims must be integers >= 2", start)
     d = math.prod(dims)
     # The header alone fixes the d x d allocation, before any entry is
     # read; the edge analysis makes further d x d copies.

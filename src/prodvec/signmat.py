@@ -22,11 +22,12 @@ import numpy as np
 from .errors import ParseError, UnsupportedSizeError
 
 # Glynn's sum doubles with each n: on a 2-CPU Xeon host, `prodvec
-# permanent` takes 14 s on a random 24 x 24 sign matrix, the slowest input
-# admitted.
+# permanent` takes 7.7 to 8.2 s on a random 24 x 24 sign matrix, the slowest
+# input admitted.
 PERMANENT_MAX_N = 24
-# batch_permanent's int64 Glynn sum is bounded by 2^(n-1) * n^n, which is
-# below 2^63 exactly while n <= 13; the batched kernel refuses larger matrices.
+# Glynn row sums are at most n in modulus, so every partial sum of the Gray
+# walk is at most 2^(n-1) * n^n, below 2^63 exactly while n <= 13: up to there
+# it multiplies in int64, and batch_permanent refuses larger matrices.
 MAX_INT64_N = 13
 NAIVE_MAX_N = 9
 ADDITION_MAX_N = 8
@@ -35,9 +36,9 @@ CANONICAL_MAX_SIZE = 6
 # host, 0.26 s for a random 128 x 128 matrix against 37 s for a random
 # 400 x 400 one.  Larger inputs are refused before any work.  Square inputs
 # up to PERMANENT_MAX_N also pay the Glynn permanent, so the slowest input
-# admitted is a random 24 x 24 one: 14 s for `prodvec invariants`.
+# admitted is a random 24 x 24 one: 8.0 s for `prodvec invariants`.
 INVARIANTS_MAX_SIZE = 128
-# Sign vectors per step of the single-matrix Glynn sum; bounds its
+# Row-sum vectors that `permanent` stacks and walks at once; bounds its
 # (chunk, n) temporaries.
 _GLYNN_CHUNK = 1 << 13
 
@@ -153,43 +154,53 @@ def associated_matrix(subsets: Sequence[Iterable[int]], n: int) -> SignMatrix:
 # -- permanents --------------------------------------------------------------
 
 
-def _glynn(a: np.ndarray) -> int:
-    """Exact permanent of a square integer array by Glynn's formula
-    (Glynn 2010, Eur. J. Combin. 31): per(a) = 2^-(n-1) * sum over d in
-    {+-1}^n with d_0 = +1 of (prod_k d_k) * prod_i (a d)_i.  The row sums
-    a d are taken in a's dtype and multiplied in Python ints."""
-    m = a.shape[0] - 1
-    total = 0
-    for start in range(0, 1 << m, _GLYNN_CHUNK):
-        k = np.arange(start, min(start + _GLYNN_CHUNK, 1 << m), dtype=np.int64)
-        d = 1 - 2 * ((k[:, None] >> np.arange(m)) & 1)  # d_1 .. d_m
-        sums = a[:, 0] + d @ a[:, 1:].T
-        total += (sums.astype(object).prod(axis=1) * d.prod(axis=1)).sum()
-    return int(total) >> m
+def _gray_walk(rowsums: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Glynn's signed sum over the walked signs for each stacked row-sum vector.
+
+    ``rowsums`` (B, n) has every walked sign at +1 and ``cols`` (..., n, w)
+    holds the walked columns.  In Gray-code order each step flips one sign
+    and moves every row sum by twice one column.  Products are int64 while
+    n <= MAX_INT64_N and Python ints above it.
+    """
+    dtype = np.int64 if rowsums.shape[1] <= MAX_INT64_N else object
+    total = rowsums.prod(axis=1, dtype=dtype)
+    for k in range(1, 1 << cols.shape[-1]):
+        t = (k & -k).bit_length() - 1
+        if (k ^ (k >> 1)) >> t & 1:
+            rowsums -= 2 * cols[..., t]
+        else:
+            rowsums += 2 * cols[..., t]
+        if k & 1:
+            total -= rowsums.prod(axis=1, dtype=dtype)
+        else:
+            total += rowsums.prod(axis=1, dtype=dtype)
+    return total
 
 
 def permanent(m: SignMatrix) -> int:
-    """Exact permanent by Glynn's formula (see ``_glynn``).
-
-    Row sums of a sign matrix are at most n <= PERMANENT_MAX_N in
-    modulus, so they are taken in int64; their products in Python ints.
+    """Exact permanent by Glynn's formula (Glynn 2010, Eur. J. Combin. 31):
+    per(a) = 2^-(n-1) * sum over d in {+-1}^n with d_0 = +1 of
+    (prod_k d_k) * prod_i (a d)_i.  The last min(n - 1, 13) signs form a
+    stack of at most ``_GLYNN_CHUNK`` row-sum vectors, weighted by the
+    product of their signs; ``_gray_walk`` walks the others.
     """
     if not m.is_square:
         raise ValueError("permanent requires a square matrix")
     n = m.rows
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent supports n <= {PERMANENT_MAX_N}")
-    return _glynn(np.array(m.entries, dtype=np.int64))
+    a = np.array(m.entries, dtype=np.int64)
+    e = min(n - 1, _GLYNN_CHUNK.bit_length() - 1)
+    rowsums, signs = a.sum(axis=1)[None], np.ones(1, dtype=np.int64)
+    for j in range(n - e, n):
+        rowsums = np.concatenate([rowsums, rowsums - 2 * a[:, j]])
+        signs = np.concatenate([signs, -signs])
+    return int((_gray_walk(rowsums, a[:, 1 : n - e]) * signs).sum()) >> (n - 1)
 
 
 def batch_permanent(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a (B, n, n) batch of sign matrices by Glynn's formula.
-
-    The sign vectors d (d_0 = +1) run in Gray-code order, so each step
-    flips one d_t and moves every row sum by twice column t.  Row sums
-    are at most n in modulus, so |total| <= 2^(n-1) * n^n, which is
-    below 2^63 exactly when n <= MAX_INT64_N: the int64 sum is exact.
-    """
+    """Permanents of a (B, n, n) batch of sign matrices by Glynn's formula,
+    walking columns 1..n-1 of every matrix in int64 (see ``_gray_walk``)."""
     mats = np.asarray(mats, dtype=np.int64)
     b, n, n2 = mats.shape
     if n != n2:
@@ -198,19 +209,7 @@ def batch_permanent(mats: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix size must be at least 1, got {n}")
     if n > MAX_INT64_N:
         raise ValueError(f"int64 kernel limited to n <= {MAX_INT64_N}")
-    rowsums = mats.sum(axis=2)
-    total = rowsums.prod(axis=1)
-    for k in range(1, 1 << (n - 1)):
-        t = (k & -k).bit_length()
-        if (k ^ (k >> 1)) >> (t - 1) & 1:
-            rowsums -= 2 * mats[:, :, t]
-        else:
-            rowsums += 2 * mats[:, :, t]
-        if k & 1:
-            total -= rowsums.prod(axis=1)
-        else:
-            total += rowsums.prod(axis=1)
-    return total >> (n - 1)
+    return _gray_walk(mats.sum(axis=2), mats[:, :, 1:]) >> (n - 1)
 
 
 def permanent_naive(m: SignMatrix) -> int:

@@ -480,6 +480,26 @@ class TestExitCodes:
         assert out == ""
         assert "line 2" in err
 
+    def test_negative_trace_state_is_2(self, capsys, tmp_path):
+        path = tmp_path / "minus.state"
+        path.write_text("dims: 2 2\n" + "".join(f"{i} {i} -0.25 0\n" for i in range(4)))
+        rc, out, err = run(capsys, ["edge", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert "not positive" in err
+
+    def test_party_of_dimension_one_is_2(self, capsys, tmp_path, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("read entries before refusing the header")
+
+        monkeypatch.setattr(mpstate.np, "zeros", no_alloc)
+        path = tmp_path / "one.state"
+        path.write_text("\ndims: 1 2\n0 0 0.5 0\n1 1 0.5 0\n")
+        rc, out, err = run(capsys, ["edge", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert "line 2" in err and ">= 2" in err
+
     def test_oversized_invariants_is_1(self, capsys, tmp_path, monkeypatch):
         def no_elimination(rows):
             raise AssertionError("eliminated before refusing")

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from prodvec import signmat
 from prodvec.signmat import (
     batch_permanent,
     find_vanishing,
@@ -56,7 +57,8 @@ def random_signs(rng, shape):
 
 
 class TestNonGlynnOracles:
-    """Both Glynn kernels against Ryser's and the permutation sum."""
+    """The Glynn walk, for one matrix and for a stack, against Ryser's and
+    the permutation sum."""
 
     def test_permanent_matches_ryser_beyond_naive_limit(self):
         rng = np.random.Generator(np.random.Philox(key=[10, 0]))
@@ -77,7 +79,25 @@ class TestNonGlynnOracles:
         # |per| = 13! needs the whole 2^12 * 13^13 bound of the int64 sum
         ones = np.ones((2, 13, 13), dtype=np.int8)
         ones[1, 0] = -1
-        assert batch_permanent(ones).tolist() == [math.factorial(13), -math.factorial(13)]
+        expected = [math.factorial(13), -math.factorial(13)]
+        assert batch_permanent(ones).tolist() == expected
+        assert [permanent(sign_matrix(m)) for m in ones] == expected
+
+    def test_all_ones_above_the_int64_limit(self):
+        # Python-int products; from n = 15 part of the signs are walked.  int64
+        # sums wrap modulo 2^64, so only 2^(n-1) * n! >= 2^63 (n >= 17) makes
+        # int64 products give a wrong total here
+        for n in (14, 15, 16, 17):
+            assert permanent(sign_matrix(np.ones((n, n), dtype=np.int8))) == math.factorial(n)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8])
+    def test_every_split_of_enumerated_and_walked_signs(self, monkeypatch, chunk):
+        monkeypatch.setattr(signmat, "_GLYNN_CHUNK", chunk)
+        rng = np.random.Generator(np.random.Philox(key=[13, chunk]))
+        for n in range(1, 13):
+            m = random_signs(rng, (n, n))
+            expected = permanent_naive(sign_matrix(m)) if n <= 8 else ryser_reference(m.tolist())
+            assert permanent(sign_matrix(m)) == expected
 
     def test_batch_matches_naive_and_permanent(self):
         rng = np.random.Generator(np.random.Philox(key=[11, 0]))

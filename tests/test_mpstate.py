@@ -357,3 +357,10 @@ class TestDensityMatrix:
             mat[3, 3] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 density_matrix((2, 2), mat)
+
+    def test_non_positive_trace_rejected(self):
+        # dividing by a negative trace would turn -I/4 into the mixed state
+        for scale in (-1.0, -1e-3, 0.0, 1e-13):
+            with pytest.raises(ValueError, match="not positive"):
+                density_matrix((2, 2), scale * np.eye(4, dtype=complex) / 4)
+        assert density_matrix((2, 2), 2e-12 * np.eye(4, dtype=complex)).mat[0, 0] == 0.25
