@@ -41,7 +41,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/4"
+SCHEMA = "prodvec-report/5"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
 # draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 28 to 48 ns
 # at n >= 6 and 10 to 35 ns at n <= 4, each chunk tallied by np.unique;
@@ -367,7 +367,7 @@ def _cmd_survey(args) -> list[str]:
             f"survey of {samples} samples at n = {n} takes {samples << (n - 1)} kernel"
             f" steps; at most {SURVEY_MAX_STEPS} are supported"
         )
-    rng = np.random.Generator(np.random.Philox(key=[args.seed & (2**64 - 1), 0]))
+    rng = solver.philox_stream(args.seed, 0)
     hist: dict[int, int] = {}
     chunk = 1 << 12
     done = 0
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="density-matrix file")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--tol", dest="rank_tol", type=_rank_tol, default=None,
+    p.add_argument("--tol", dest="rank_tol", type=_rank_tol, default=mpstate.DEFAULT_RANK_TOL,
                    help="relative rank tolerance, 0 < tol < 1 (default 1e-9)")
     add_out(p)
     p.set_defaults(func=_cmd_edge)

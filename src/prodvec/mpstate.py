@@ -28,12 +28,13 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SubspaceConstraint,
+    philox_stream,
     solve,
     spec_of_constraints,
 )
 
 DEFAULT_RANK_TOL = 1e-9
-DEFAULT_POSITIVITY_TOL = 1e-10
+POSITIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     mat: np.ndarray
-    tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         d = math.prod(self.dims)
@@ -58,7 +58,7 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def density_matrix(dims: Sequence[int], mat, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
+def density_matrix(dims: Sequence[int], mat) -> DensityMatrix:
     """Validating constructor: checks finite, Hermitian entries, symmetrizes, normalizes the trace.
 
     Rescaling is skipped when the trace is already 1 to within 1e-12, so
@@ -78,7 +78,7 @@ def density_matrix(dims: Sequence[int], mat, tol: float = DEFAULT_RANK_TOL) -> D
         raise ValueError(f"matrix trace {tr:.3e} is not positive")
     if abs(tr - 1.0) > 1e-12:
         mat = mat / tr
-    return DensityMatrix(dims, mat, tol)
+    return DensityMatrix(dims, mat)
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
@@ -91,7 +91,7 @@ def random_state(dims: Sequence[int], seed: int, rank: int | None = None) -> Den
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
     rank = d if rank is None else int(rank)
-    rng = np.random.Generator(np.random.Philox(key=[int(seed) & (2**64 - 1), 0]))
+    rng = philox_stream(seed, 0)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     return density_matrix(dims, g @ g.conj().T)
 
@@ -106,7 +106,7 @@ def partial_transpose(rho: DensityMatrix, subset: Sequence[int] | frozenset[int]
     for j in s:
         t = np.swapaxes(t, j - 1, n + j - 1)
     d = rho.dim
-    return DensityMatrix(rho.dims, np.ascontiguousarray(t.reshape(d, d)), rho.tol)
+    return DensityMatrix(rho.dims, np.ascontiguousarray(t.reshape(d, d)))
 
 
 def canonical_subsets(n: int) -> list[frozenset[int]]:
@@ -117,16 +117,15 @@ def canonical_subsets(n: int) -> list[frozenset[int]]:
     return out
 
 
-def is_ppt(
-    rho: DensityMatrix, tol: float = DEFAULT_POSITIVITY_TOL
-) -> tuple[bool, dict[frozenset[int], float]]:
-    """Positivity of every partial transpose, checked on the canonical subsets."""
+def is_ppt(rho: DensityMatrix) -> tuple[bool, dict[frozenset[int], float]]:
+    """Positivity of every partial transpose, checked on the canonical subsets:
+    no eigenvalue below -POSITIVITY_TOL."""
     min_eigs: dict[frozenset[int], float] = {}
     ok = True
     for s in canonical_subsets(rho.n_parties):
         w = np.linalg.eigvalsh(partial_transpose(rho, s).mat)
         min_eigs[s] = float(w[0])
-        if w[0] < -tol:
+        if w[0] < -POSITIVITY_TOL:
             ok = False
     return ok, min_eigs
 
@@ -156,7 +155,7 @@ def _in_range(w: np.ndarray, tol: float) -> np.ndarray:
     return sv > (tol * top if top > 0 else tol)
 
 
-def rank_profile(rho: DensityMatrix, tol: float | None = None) -> RankProfile:
+def rank_profile(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> RankProfile:
     """Ranks and range complements of all canonical partial transposes, and the edge bound.
 
     The rank cut is at ``tol`` (relative to the largest singular value);
@@ -164,7 +163,6 @@ def rank_profile(rho: DensityMatrix, tol: float | None = None) -> RankProfile:
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
     """
-    tol = rho.tol if tol is None else tol
     records = []
     total = 0
     for s in canonical_subsets(rho.n_parties):
@@ -188,11 +186,11 @@ def rank_profile(rho: DensityMatrix, tol: float | None = None) -> RankProfile:
     return RankProfile(tuple(records), total, bound)
 
 
-def range_complement(rho: DensityMatrix, tol: float | None = None) -> np.ndarray:
-    """Orthonormal rows spanning the orthogonal complement of the range."""
-    tol = rho.tol if tol is None else tol
+def range_complement(rho: DensityMatrix) -> np.ndarray:
+    """Orthonormal rows spanning the orthogonal complement of the range,
+    cut at DEFAULT_RANK_TOL."""
     w, v = np.linalg.eigh(rho.mat)
-    return np.ascontiguousarray(v[:, ~_in_range(w, tol)].T)
+    return np.ascontiguousarray(v[:, ~_in_range(w, DEFAULT_RANK_TOL)].T)
 
 
 def build_separable(vectors: Sequence[ProductVector], weights: Sequence[float]) -> DensityMatrix:
@@ -247,8 +245,7 @@ class EdgeReport:
 def edge_analysis(
     rho: DensityMatrix,
     config: SolverConfig | None = None,
-    rank_tol: float | None = None,
-    positivity_tol: float = DEFAULT_POSITIVITY_TOL,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> EdgeReport:
     """Search for a product vector compatible with all partial-transpose ranges.
 
@@ -258,7 +255,7 @@ def edge_analysis(
     and the numerical solver on the explicit ranges, and evaluates the
     rank-sum inequality.
     """
-    ppt, min_eigs = is_ppt(rho, positivity_tol)
+    ppt, min_eigs = is_ppt(rho)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
     profile = rank_profile(rho, rank_tol)
@@ -290,7 +287,7 @@ def write_state(rho: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_state(text: str, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
+def read_state(text: str) -> DensityMatrix:
     lines = text.splitlines()
     header = None
     start = 0
@@ -333,6 +330,6 @@ def read_state(text: str, tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
             raise ParseError(f"index ({i}, {j}) outside 0..{d - 1}", lineno)
         mat[i, j] = re + 1j * im
     try:
-        return density_matrix(dims, mat, tol)
+        return density_matrix(dims, mat)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -93,40 +93,25 @@ def counts(spec: ProblemSpec) -> tuple[int, int]:
     return n_e, n_u
 
 
-def parallel_groups(
-    subsets: Sequence[frozenset[int]], n: int
-) -> list[tuple[frozenset[int], list[int]]]:
-    """Group the indices of equal or complementary subsets of parties 1..n.
-
-    Groups come in order of first appearance.  Each carries the
-    lexicographically smallest sorted subset among its members: the one
-    a merged constraint keeps.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, subset in enumerate(subsets):
-        s = tuple(sorted(subset))
-        comp = tuple(j for j in range(1, n + 1) if j not in subset)
-        groups.setdefault(min(s, comp), []).append(idx)
-    return [
-        (frozenset(min((subsets[i] for i in members), key=sorted)), members)
-        for members in groups.values()
-    ]
-
-
 def reduce(spec: ProblemSpec) -> ProblemSpec:
     """Merge constraints whose subsets are equal or complementary.
 
-    The merged constraint keeps the lexicographically smaller subset of
-    each parallel pair and the sum of the codimensions, saturated at
-    prod(dims) (a complement's dimension cannot exceed the ambient
-    space).  The result has pairwise non-parallel subsets and is a fixed
-    point of this function.
+    Groups come in order of first appearance.  The merged constraint
+    keeps the lexicographically smallest sorted subset among its members
+    and the sum of the codimensions, saturated at prod(dims) (a
+    complement's dimension cannot exceed the ambient space).  The result
+    has pairwise non-parallel subsets and is a fixed point of this
+    function.
     """
-    full = math.prod(spec.dims)
-    cons = spec.constraints
+    n, full = spec.n_parties, math.prod(spec.dims)
+    groups: dict[tuple[int, ...], list[Constraint]] = {}
+    for c in spec.constraints:
+        s = tuple(sorted(c.subset))
+        comp = tuple(j for j in range(1, n + 1) if j not in c.subset)
+        groups.setdefault(min(s, comp), []).append(c)
     merged = tuple(
-        Constraint(subset, min(sum(cons[i].codim for i in members), full))
-        for subset, members in parallel_groups([c.subset for c in cons], spec.n_parties)
+        Constraint(min((c.subset for c in g), key=sorted), min(sum(c.codim for c in g), full))
+        for g in groups.values()
     )
     return ProblemSpec(spec.dims, merged)
 
@@ -162,10 +147,11 @@ def verdict(spec: ProblemSpec) -> Verdict:
     n_e, n_u = counts(red)
     n = red.n_parties
     r = len(red.constraints)
-    # The sign product prod_i (sigma_i . a)^{k_i} in the truncated ring;
-    # with no constraints it is the unit.  It is homogeneous of degree n_e
-    # and no monomial above degree n_u survives, so n_e > n_u makes it 0
-    # and n_e = n_u leaves the top monomial alone, taken unexpanded.
+    # The sign product prod_i (sigma_i . a)^{k_i} in the truncated ring is
+    # homogeneous of degree n_e, and no monomial above degree n_u (>= 1)
+    # survives: n_e > n_u makes it 0, n_e = n_u leaves the top monomial
+    # alone, taken unexpanded, and n_e < n_u leaves the top coefficient 0
+    # (with no constraints the product is the unit).
     if r:
         sigma = associated_matrix([c.subset for c in red.constraints], n)
         rank = integer_rank(sigma.entries)
@@ -173,16 +159,13 @@ def verdict(spec: ProblemSpec) -> Verdict:
     else:
         rank = 0
     if n_e > n_u:
-        product = truncpoly.TruncatedPolynomial(red.dims)
-    elif r and n_e == n_u:
+        top, vanishes = 0, True
+    elif n_e == n_u:
         top = truncpoly._critical_top(sigma, codims, red.dims)
-        product = truncpoly.TruncatedPolynomial(red.dims, {tuple(d - 1 for d in red.dims): top})
-    elif r:
-        product = truncpoly.expand_product(sigma, codims, red.dims)
+        vanishes = top == 0
     else:
-        product = truncpoly.TruncatedPolynomial(red.dims, {(0,) * n: 1})
-    top = product.top_coefficient()
-    vanishes = product.is_zero()
+        top = 0
+        vanishes = bool(r) and truncpoly.expand_product(sigma, codims, red.dims).is_zero()
 
     def make(kind, basis, generic=False):
         return Verdict(
@@ -228,7 +211,4 @@ def generic_count(spec: ProblemSpec) -> int | None:
     subset = red.constraints[0].subset
     if subset and subset != frozenset(range(1, red.n_parties + 1)):
         return None
-    out = math.factorial(n_u)
-    for d in red.dims:
-        out //= math.factorial(d - 1)
-    return out
+    return truncpoly._multinomial_count([d - 1 for d in red.dims])

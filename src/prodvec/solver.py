@@ -54,6 +54,12 @@ MAX_RESTART_ENTRIES = 1 << 23
 # BLAS thread): qubits have the most parties per dimension.  The largest
 # solves asked: tier-1 7.7e7, benchmark 1.6e6.
 MAX_RESTART_WORK = 1 << 27
+# What every solve passes to _minimize_batch and _dedupe: the LM steps a
+# restart takes at most, the cost above which a stalled restart retires as
+# stagnated, and the overlap tolerance of one projective class.
+MAX_ITERATIONS = 120
+REJECT_THRESHOLD = 1e-8
+DEDUPE_TOLERANCE = 1e-6
 
 # Why a restart stopped; SolveReport.exit_reasons counts them.
 EXIT_REASONS = ("converged", "flat-gradient", "no-step", "stagnated", "max-iterations")
@@ -151,6 +157,16 @@ def subspace_constraint(subset, basis) -> SubspaceConstraint:
     return SubspaceConstraint(frozenset(int(j) for j in subset), basis)
 
 
+def philox_stream(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed mod 2^64, stream).
+
+    The key is a uint64 array: as a list, a seed at or above 2^63 would
+    pass through float64 and lose its low bits.
+    """
+    key = np.array([int(seed) & (2**64 - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def random_instance(spec: ProblemSpec, seed: int) -> list[SubspaceConstraint]:
     """Draw one random subspace per constraint, deterministically from ``seed``.
 
@@ -163,7 +179,7 @@ def random_instance(spec: ProblemSpec, seed: int) -> list[SubspaceConstraint]:
         raise UnsupportedSizeError(
             f"product dimension {d} exceeds the supported {MAX_SPACE_DIM}"
         )
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    rng = philox_stream(seed, 0)
     out = []
     for c in spec.constraints:
         z = rng.standard_normal((d, c.codim)) + 1j * rng.standard_normal((d, c.codim))
@@ -198,10 +214,7 @@ def residual(psi: ProductVector, constraints: Sequence[SubspaceConstraint]) -> f
 @dataclass(frozen=True)
 class SolverConfig:
     restarts: int | None = None  # None: max(500, 50 * generic count) when defined
-    max_iterations: int = 120
     accept_threshold: float = 1e-14
-    reject_threshold: float = 1e-8
-    dedupe_tolerance: float = 1e-6
     seed: int = 0
 
 
@@ -474,33 +487,40 @@ def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
     count is defined and 500 otherwise; at most 8 when every constraint
     is vacuous.  Raises UnsupportedSizeError when restarts times the
     entries per start exceeds MAX_RESTART_ENTRIES, or restarts times
-    ``config.max_iterations`` times the sum of codims times prod(dims)
-    exceeds MAX_RESTART_WORK.
+    MAX_ITERATIONS times the sum of codims times prod(dims) exceeds
+    MAX_RESTART_WORK.
     """
     restarts = config.restarts
     if restarts is not None and restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
+    max_codim = max((c.codim for c in spec.constraints), default=0)
+    per_start = _entries_per_start(2 * sum(spec.dims), max_codim)
     if restarts is None:
+        # The entries bound caps sum(dims), and with it the multinomial of
+        # the generic count: check it at the least default before counting.
+        _check_entries(500 if max_codim else 8, per_start)
         expected = generic_count(spec)
         restarts = max(500, 50 * expected) if expected else 500
-    max_codim = max((c.codim for c in spec.constraints), default=0)
     if not max_codim:
         restarts = min(restarts, 8)
-    work = restarts * _entries_per_start(2 * sum(spec.dims), max_codim)
-    if work > MAX_RESTART_ENTRIES:
-        raise UnsupportedSizeError(
-            f"{restarts} restarts of {work // restarts} entries each exceed"
-            f" the supported {MAX_RESTART_ENTRIES}"
-        )
+    _check_entries(restarts, per_start)
     codims, d = sum(c.codim for c in spec.constraints), math.prod(spec.dims)
-    work = restarts * config.max_iterations * codims * d
+    work = restarts * MAX_ITERATIONS * codims * d
     if work > MAX_RESTART_WORK:
         raise UnsupportedSizeError(
-            f"{restarts} restarts of {config.max_iterations} iterations on codimension"
+            f"{restarts} restarts of {MAX_ITERATIONS} iterations on codimension"
             f" {codims} in dimension {d} ask {work} units of work; at most"
             f" {MAX_RESTART_WORK} are supported"
         )
     return restarts
+
+
+def _check_entries(restarts: int, per_start: int) -> None:
+    if restarts * per_start > MAX_RESTART_ENTRIES:
+        raise UnsupportedSizeError(
+            f"{restarts} restarts of {per_start} entries each exceed"
+            f" the supported {MAX_RESTART_ENTRIES}"
+        )
 
 
 def solve(
@@ -530,14 +550,12 @@ def solve(
     found_costs = np.empty(0)
     floor = math.inf
     reasons = np.zeros(len(EXIT_REASONS), dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    rng = philox_stream(seed, 1)
     batch = max(1, MAX_BATCH_ENTRIES // problem.entries_per_start)
     for lo in range(0, restarts, batch):
         rows = min(batch, restarts - lo)
         starts = problem.complex_factors(rng.standard_normal((rows, problem.n_params)))
-        factors, costs, why = _minimize_batch(
-            problem, starts, config.max_iterations, config.reject_threshold
-        )
+        factors, costs, why = _minimize_batch(problem, starts, MAX_ITERATIONS, REJECT_THRESHOLD)
         floor = min(floor, float(costs.min()))
         reasons += np.bincount(why, minlength=len(EXIT_REASONS))
         ok = costs < config.accept_threshold
@@ -552,7 +570,7 @@ def solve(
     found, found_costs = [f[order] for f in found], found_costs[order]
     solutions = tuple(
         Solution(ProductVector(tuple(f[i] for f in found)), float(found_costs[i]))
-        for i in _dedupe(found, found_costs, config.dedupe_tolerance)
+        for i in _dedupe(found, found_costs, DEDUPE_TOLERANCE)
     )
     return SolveReport(
         solutions=solutions,

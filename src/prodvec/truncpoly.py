@@ -161,6 +161,12 @@ def expand_product(sigma, powers: Sequence[int], dims: Sequence[int]) -> Truncat
     return TruncatedPolynomial(dims, coeffs)
 
 
+def _multinomial_count(parts: Sequence[int]) -> int:
+    """(sum parts)! / prod parts! for non-negative parts, as a product of
+    binomials, which math.comb computes far faster than the factorials."""
+    return math.prod(math.comb(s, k) for s, k in zip(itertools.accumulate(parts), parts))
+
+
 def _primes_over(bound: int) -> list[int]:
     """The leading primes below 2^31, largest first, whose product exceeds
     ``bound``.  New ones are found walking down the odd numbers with
@@ -193,9 +199,7 @@ def _critical_top(sigma, powers: Sequence[int], dims: Sequence[int]) -> int:
     big_n = sum(m)
     if sum(powers) != big_n:
         raise ValueError(f"|powers| = {sum(powers)} must equal sum(dims) - n = {big_n}")
-    # N! / prod m_j! as a product of binomials, which math.comb computes fast
-    bound = math.prod(math.comb(s, mj) for s, mj in zip(itertools.accumulate(m), m))
-    primes = _primes_over(2 * bound)
+    primes = _primes_over(2 * _multinomial_count(m))
     p = np.array(primes, dtype=np.int64)[:, None]
     weights = [np.array([_difference_weights(mj, q) for q in primes]) for mj in m]
     # v^k_i mod p for v = -N..N, one table per row, by square and multiply

@@ -1,6 +1,8 @@
 """CLI: parsing, reports, exit codes, determinism."""
 
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +227,36 @@ class TestCommands:
         assert out1 == out2
         assert "vanishing_fraction:" in out1
 
+    def test_edge_default_tol_is_the_rank_cut(self, capsys, tmp_path):
+        path = tmp_path / "mixed.state"
+        path.write_text(write_state(maximally_mixed((2, 2))))
+        argv = ["edge", str(path), "--seed", "3", "--restarts", "20"]
+        rc, default, _ = run(capsys, argv)
+        _, explicit, _ = run(capsys, argv + ["--tol", "1e-9"])
+        assert rc == 0
+        assert default == explicit
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (2**63, 2**63 + 1)])
+    def test_wide_seeds_draw_their_own_streams(self, capsys, tmp_path, a, b):
+        path = tmp_path / "crit.json"
+        path.write_text(
+            json.dumps({"dims": [2, 2], "constraints": [{"subset": [], "codim": 2}]})
+        )
+        commands = (
+            ["solve", str(path), "--restarts", "40"],
+            ["survey", "--n", "4", "--samples", "500"],
+        )
+        for argv in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports = [run(capsys, argv + ["--seed", str(s)]) for s in (a, b)]
+            (rc_a, out_a, err_a), (rc_b, out_b, _) = reports
+            assert rc_a == rc_b == 0 and err_a == ""
+            unseeded = [
+                [x for x in out.splitlines() if not x.startswith("seed:")] for out in (out_a, out_b)
+            ]
+            assert unseeded[0] != unseeded[1]
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         src = tmp_path / "m.mat"
         src.write_text("++\n++\n")
@@ -373,6 +405,24 @@ class TestExitCodes:
             assert rc == 1
             assert out == ""
             assert f"the supported {solver.MAX_RESTART_ENTRIES}" in err
+
+    def test_solve_huge_critical_spec_is_1_before_counting(self, capsys, tmp_path, monkeypatch):
+        # its generic count is a multinomial of 2 * 10^6 - 2 over two
+        # factorials of 10^6 - 1; even 500 restarts exceed the entries bound
+        def no_count(spec):
+            raise AssertionError("counted before checking the restart bounds")
+
+        monkeypatch.setattr(solver, "generic_count", no_count)
+        path = tmp_path / "huge.json"
+        doc = {"dims": [10**6] * 2, "constraints": [{"subset": [], "codim": 2 * 10**6 - 2}]}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["solve", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert out == ""
+        assert f"the supported {solver.MAX_RESTART_ENTRIES}" in err
+        assert len(err) < 120
 
     def test_solve_restart_work_in_the_product_dimension_is_1(self, capsys, tmp_path, monkeypatch):
         # 500 restarts on (2,)^12 fit the entries bound (3,456 entries each)

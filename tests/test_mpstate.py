@@ -1,6 +1,7 @@
 """Density-matrix operations: partial transposes, PPT, ranks, edge analysis."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,15 @@ class TestPartialTranspose:
             chained = partial_transpose(partial_transpose(rho, s1), s2)
             direct = partial_transpose(rho, s1 ^ s2)
             assert np.abs(chained.mat - direct.mat).max() < 1e-14
+
+
+class TestRandomState:
+    @pytest.mark.parametrize("a, b", [(-1, 0), (2**63, 2**63 + 1)])
+    def test_wide_seeds_draw_their_own_streams(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ra, rb = random_state((2, 2), a), random_state((2, 2), b)
+        assert not np.allclose(ra.mat, rb.mat)
 
 
 class TestCanonicalSubsets:
@@ -241,7 +251,7 @@ class TestBuildSeparable:
         for seed in range(5):
             vecs = random_vectors(20 + seed, (2, 2), 3)
             state = build_separable(vecs, [0.5, 0.25, 0.25])
-            assert is_ppt(state, tol=1e-10)[0]
+            assert is_ppt(state)[0]
 
     def test_weight_validation(self):
         (v,) = random_vectors(25, (2, 2), 1)

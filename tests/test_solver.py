@@ -1,5 +1,7 @@
 """Numerical product-vector search: residuals, restarts, dedupe, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,30 @@ class TestRandomInstance:
         assert c.complement_basis.shape == (2, 4)
         g = c.complement_basis.conj() @ c.complement_basis.T
         assert np.allclose(g, np.eye(2), atol=1e-12)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 + 7, 2**63 - 1])
+    def test_streams_below_2_63_unchanged(self, seed):
+        for k in (0, 1):
+            old = np.random.Generator(np.random.Philox(key=[seed, k]))
+            new = solver.philox_stream(seed, k)
+            assert np.array_equal(new.standard_normal(16), old.standard_normal(16))
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (2**63, 2**63 + 1)])
+    def test_wide_seeds_draw_their_own_streams(self, a, b):
+        spec = problem_spec((2, 2), [((), 2)])
+        vacuous = random_instance(problem_spec((2, 3), [((), 0)]), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (ca,), (cb,) = random_instance(spec, a), random_instance(spec, b)
+            # a vacuous solve returns its start points
+            ra, rb = (solve(vacuous, (2, 3), SolverConfig(seed=s)) for s in (a, b))
+        assert not np.allclose(ca.complement_basis, cb.complement_basis)
+        assert ra.seed == a % 2**64 and rb.seed == b % 2**64
+        assert ra.solutions and len(ra.solutions) == len(rb.solutions)
+        for sa, sb in zip(ra.solutions, rb.solutions):
+            assert not np.allclose(sa.vector.full_vector(), sb.vector.full_vector())
 
 
 class TestResidual:
