@@ -41,7 +41,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/5"
+SCHEMA = "prodvec-report/6"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
 # draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 28 to 48 ns
 # at n >= 6 and 10 to 35 ns at n <= 4, each chunk tallied by np.unique;
@@ -322,7 +322,7 @@ def _cmd_edge(args) -> list[str]:
     )
     lines = [
         "command: edge",
-        f"seed: {args.seed}",
+        f"seed: {solver.stream_seed(args.seed)}",
         f"ppt: {'true' if report.ppt else 'false'}",
         f"classification: {report.classification}",
     ]
@@ -382,7 +382,7 @@ def _cmd_survey(args) -> list[str]:
         "command: survey",
         f"n: {n}",
         f"samples: {samples}",
-        f"seed: {args.seed}",
+        f"seed: {solver.stream_seed(args.seed)}",
         f"vanishing_fraction: {hist.get(0, 0) / samples!r}",
         "abs_permanent_histogram:",
     ]

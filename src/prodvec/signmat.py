@@ -7,14 +7,16 @@ the orbit-minimal matrix under the row-major entry order with -1 < +1.
 
 The module also computes the standard equivalence invariants (minus-sign
 counts, parity differences, exact rank, |det|, |per|, scalar row Gram)
-and classifies square matrices with vanishing permanent.
+and classifies square matrices with vanishing permanent from candidates
+whose first row is +1 and whose other rows are sorted.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,13 @@ from .errors import ParseError, UnsupportedSizeError
 # permanent` takes 7.7 to 8.2 s on a random 24 x 24 sign matrix, the slowest
 # input admitted.
 PERMANENT_MAX_N = 24
-# Glynn row sums are at most n in modulus, so every partial sum of the Gray
-# walk is at most 2^(n-1) * n^n, below 2^63 exactly while n <= 13: up to there
-# it multiplies in int64, and batch_permanent refuses larger matrices.
+# Glynn's signed total is 2^(n-1) * per(a), at most 2^(n-1) * n! < 2^63 in
+# modulus while n <= 16.  Up to there the walk multiplies and sums in uint64,
+# modulo 2^64, and the total read back as int64 is exact: the partial sums are
+# not bounded, only the full total.  Above it the products are Python ints.
+MAX_UINT64_N = 16
+# batch_permanent and survey admit n <= 13: each matrix of a batch costs a
+# 2^(n-1)-step walk over (B, n) row sums, and survey's contract stops there.
 MAX_INT64_N = 13
 NAIVE_MAX_N = 9
 ADDITION_MAX_N = 8
@@ -41,6 +47,8 @@ INVARIANTS_MAX_SIZE = 128
 # Row-sum vectors that `permanent` stacks and walks at once; bounds its
 # (chunk, n) temporaries.
 _GLYNN_CHUNK = 1 << 13
+# Candidate matrices one classification sweep builds and walks at once.
+_SWEEP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,10 +167,10 @@ def _gray_walk(rowsums: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``rowsums`` (B, n) has every walked sign at +1 and ``cols`` (..., n, w)
     holds the walked columns.  In Gray-code order each step flips one sign
-    and moves every row sum by twice one column.  Products are int64 while
-    n <= MAX_INT64_N and Python ints above it.
+    and moves every row sum by twice one column.  uint64 inputs are walked
+    modulo 2^64 (see MAX_UINT64_N); int64 ones multiply in Python ints.
     """
-    dtype = np.int64 if rowsums.shape[1] <= MAX_INT64_N else object
+    dtype = np.uint64 if rowsums.dtype == np.uint64 else object
     total = rowsums.prod(axis=1, dtype=dtype)
     for k in range(1, 1 << cols.shape[-1]):
         t = (k & -k).bit_length() - 1
@@ -182,7 +190,9 @@ def permanent(m: SignMatrix) -> int:
     per(a) = 2^-(n-1) * sum over d in {+-1}^n with d_0 = +1 of
     (prod_k d_k) * prod_i (a d)_i.  The last min(n - 1, 13) signs form a
     stack of at most ``_GLYNN_CHUNK`` row-sum vectors, weighted by the
-    product of their signs; ``_gray_walk`` walks the others.
+    product of their signs; ``_gray_walk`` walks the others.  Up to
+    MAX_UINT64_N everything is uint64 modulo 2^64, and only the final
+    total is read back as a signed value.
     """
     if not m.is_square:
         raise ValueError("permanent requires a square matrix")
@@ -190,26 +200,33 @@ def permanent(m: SignMatrix) -> int:
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent supports n <= {PERMANENT_MAX_N}")
     a = np.array(m.entries, dtype=np.int64)
+    if n <= MAX_UINT64_N:
+        a = a.view(np.uint64)  # two's complement: -1 is 2^64 - 1
     e = min(n - 1, _GLYNN_CHUNK.bit_length() - 1)
-    rowsums, signs = a.sum(axis=1)[None], np.ones(1, dtype=np.int64)
+    rowsums, signs = a.sum(axis=1)[None], np.ones(1, dtype=a.dtype)
     for j in range(n - e, n):
         rowsums = np.concatenate([rowsums, rowsums - 2 * a[:, j]])
         signs = np.concatenate([signs, -signs])
-    return int((_gray_walk(rowsums, a[:, 1 : n - e]) * signs).sum()) >> (n - 1)
+    total = (_gray_walk(rowsums, a[:, 1 : n - e]) * signs).sum()
+    if n <= MAX_UINT64_N:
+        total = total.view(np.int64)
+    return int(total) >> (n - 1)
 
 
 def batch_permanent(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a (B, n, n) batch of sign matrices by Glynn's formula,
-    walking columns 1..n-1 of every matrix in int64 (see ``_gray_walk``)."""
-    mats = np.asarray(mats, dtype=np.int64)
+    """int64 permanents of a (B, n, n) batch of sign matrices by Glynn's
+    formula, walking columns 1..n-1 of every matrix modulo 2^64 (see
+    ``_gray_walk``)."""
+    mats = np.asarray(mats)
     b, n, n2 = mats.shape
     if n != n2:
         raise ValueError("matrices must be square")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
     if n > MAX_INT64_N:
-        raise ValueError(f"int64 kernel limited to n <= {MAX_INT64_N}")
-    return _gray_walk(mats.sum(axis=2), mats[:, :, 1:]) >> (n - 1)
+        raise ValueError(f"batch_permanent supports n <= {MAX_INT64_N}")
+    mats = mats.astype(np.uint64)  # two's complement: -1 is 2^64 - 1
+    return _gray_walk(mats.sum(axis=2), mats[:, :, 1:]).view(np.int64) >> (n - 1)
 
 
 def permanent_naive(m: SignMatrix) -> int:
@@ -493,16 +510,15 @@ def equivalent(a: SignMatrix, b: SignMatrix) -> bool:
 # -- classification --------------------------------------------------------------
 
 
-def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.ndarray:
+def find_vanishing(n: int, normalized: bool) -> np.ndarray:
     """Encoded patterns of n x n sign matrices with permanent zero.
 
     Exhaustive mode sweeps all 2^(n^2) matrices; normalized mode fixes the
     first row and column to +1 and sweeps the 2^((n-1)^2) interior
     patterns.  Returns an int64 array of full-matrix encodings in
     ascending order: chunks are swept in order, and a fixed +1 border
-    keeps the order of interior patterns.  So with ``limit`` the sweep
-    stops after the chunk that reaches it and returns the ``limit``
-    smallest.
+    keeps the order of interior patterns.  The tests' oracle for
+    ``classify_vanishing``.
     """
     # full-matrix encodings take n^2 bits in either mode, and the sweep
     # counts patterns in int64
@@ -512,21 +528,59 @@ def find_vanishing(n: int, normalized: bool, limit: int | None = None) -> np.nda
         )
     side = n - 1 if normalized else n
     total = 1 << (side * side)
-    chunk = 1 << 16
     found = []
-    count = 0
-    for start in range(0, total, chunk):
-        raw = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _SWEEP_CHUNK):
+        raw = np.arange(start, min(start + _SWEEP_CHUNK, total), dtype=np.int64)
         mats = _unpack(raw, side * side).reshape(len(raw), side, side)
         if normalized:
             mats = np.pad(mats, ((0, 0), (1, 0), (1, 0)), constant_values=1)
         vanishing = mats[batch_permanent(mats) == 0]
         found.append(_pack(vanishing.reshape(len(vanishing), n * n)))
-        count += found[-1].size
-        if limit is not None and count >= limit:
-            break
-    out = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
-    return out[:limit]
+    return np.concatenate(found)
+
+
+def _sorted_rows(n: int) -> Iterator[np.ndarray]:
+    """The n x n candidates of the classification sweep, in lexicographic
+    order, as (B, n, n) int8 chunks of at most ``_SWEEP_CHUNK``.
+
+    Row 1 is all +1.  Rows 2..n are a non-decreasing sequence of indices
+    into the 2^(n-1) rows that start with +1, in packed-code order, so
+    each candidate is a multiset of rows: C(2^(n-1) + n - 2, n - 1) of
+    them, 3,876 at n = 5 against 2^16 normalized matrices.  Negations
+    alone give every class a member whose first row and column are +1,
+    and permuting its rows 2..n keeps it so and in its class: some
+    candidate meets every class.  Indices are uint8, so n <= 9.  The
+    sequences are built one first index at a time, so a sweep that
+    stops early builds only the chunks it walks.
+    """
+    if n == 1:
+        yield np.ones((1, 1, 1), dtype=np.int8)
+        return
+    r, k = 1 << (n - 1), n - 2
+    # every non-decreasing k-index sequence, in lexicographic order
+    tails = np.zeros((1, 0), dtype=np.uint8)
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        # extend each sequence, in order, by every index from its last one up
+        counts = r - last
+        ends = np.cumsum(counts)
+        last = np.arange(ends[-1]) - np.repeat(ends - counts - last, counts)
+        tails = np.repeat(tails, counts, axis=0)
+        tails = np.concatenate([tails, last[:, None].astype(np.uint8)], axis=1)
+    rows = _unpack(np.arange(r, 2 * r), n).astype(np.int8)
+    pending = np.zeros((0, n - 1), dtype=np.uint8)
+    for i in range(r):
+        # the tails whose entries are all >= i are the last C(r - i + k - 1, k)
+        tail = tails[len(tails) - math.comb(r - i + k - 1, k) :]
+        head = np.full((len(tail), 1), i, dtype=np.uint8)
+        pending = np.concatenate([pending, np.concatenate([head, tail], axis=1)])
+        ready = len(pending) if i == r - 1 else len(pending) - len(pending) % _SWEEP_CHUNK
+        for start in range(0, ready, _SWEEP_CHUNK):
+            part = pending[start : start + _SWEEP_CHUNK]
+            mats = np.ones((len(part), n, n), dtype=np.int8)
+            mats[:, 1:] = rows[part]
+            yield mats
+        pending = pending[ready:]
 
 
 def classify_vanishing(
@@ -534,17 +588,17 @@ def classify_vanishing(
 ) -> list[SignMatrix]:
     """Canonical representatives of n x n sign matrices with permanent zero.
 
-    Both modes sweep the normalized matrices, whose first row and column
-    are +1 (every class has such a member, by negations alone), and
-    deduplicate by ``canonical_form``.  ``exhaustive`` (n <= 4) runs the
-    whole sweep and ignores ``budget``, so the result is the full list
-    of classes.  ``normalized-search`` (n <= 6) runs the whole sweep
-    too unless ``budget`` caps the number of vanishing matrices
-    collected before deduplication (None or 0 means no cap): uncapped,
-    its class list is complete; capped, the sweep stops once it has that
-    many and the list may be partial.  At n = 6 a budget is required:
-    uncapped, the search would canonicalize millions of vanishing
-    matrices at about 2 ms each.
+    Both modes sweep the sorted-row candidates of ``_sorted_rows``, which
+    meet every class, and deduplicate the vanishing ones by
+    ``canonical_form``.  ``exhaustive`` (n <= 4) runs the whole sweep
+    and ignores ``budget``, so the result is the full list of classes.
+    ``normalized-search`` (n <= 6) runs the whole sweep too unless
+    ``budget`` caps the number of vanishing matrices collected, in the
+    sweep's order, before deduplication (None or 0 means no cap):
+    uncapped, its class list is complete; capped, the sweep stops after
+    the chunk that reaches the cap and the list may be partial.  At
+    n = 6 a budget is required: uncapped, the search would canonicalize
+    92,706 vanishing matrices at about 1.5 ms each.
     """
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
@@ -561,6 +615,12 @@ def classify_vanishing(
             raise UnsupportedSizeError("normalized search at n = 6 requires a budget")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    found = find_vanishing(n, True, budget or None)
-    reps = {encode_pattern(canonical_form(decode_pattern(int(p), n))) for p in found}
+    found, count = [], 0
+    for mats in _sorted_rows(n):
+        found.append(mats[batch_permanent(mats) == 0])
+        count += len(found[-1])
+        if budget and count >= budget:
+            break
+    vanishing = np.concatenate(found)[: budget or None].tolist()
+    reps = {encode_pattern(canonical_form(sign_matrix(m))) for m in vanishing}
     return [decode_pattern(p, n) for p in sorted(reps)]

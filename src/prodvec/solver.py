@@ -157,13 +157,18 @@ def subspace_constraint(subset, basis) -> SubspaceConstraint:
     return SubspaceConstraint(frozenset(int(j) for j in subset), basis)
 
 
+def stream_seed(seed: int) -> int:
+    """The seed a stream keyed by ``seed`` uses, and reports echo: seed mod 2^64."""
+    return int(seed) & (2**64 - 1)
+
+
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
-    """The Philox generator keyed by (seed mod 2^64, stream).
+    """The Philox generator keyed by (stream_seed(seed), stream).
 
     The key is a uint64 array: as a list, a seed at or above 2^63 would
     pass through float64 and lose its low bits.
     """
-    key = np.array([int(seed) & (2**64 - 1), stream], dtype=np.uint64)
+    key = np.array([stream_seed(seed), stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -544,7 +549,7 @@ def solve(
     dims = tuple(int(d) for d in dims)
     problem = _Problem(dims, constraints)
     restarts = restart_count(spec_of_constraints(dims, constraints), config)
-    seed = int(config.seed) & (2**64 - 1)
+    seed = stream_seed(config.seed)
 
     found = [np.empty((0, d), dtype=complex) for d in dims]
     found_costs = np.empty(0)

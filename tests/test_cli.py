@@ -257,6 +257,20 @@ class TestCommands:
             ]
             assert unseeded[0] != unseeded[1]
 
+    def test_reports_echo_the_seed_their_stream_uses(self, capsys, tmp_path):
+        # a stream keys on the seed mod 2^64, and each report names that seed once
+        path = tmp_path / "mixed.state"
+        path.write_text(write_state(maximally_mixed((2, 2))))
+        commands = (
+            ["edge", str(path), "--restarts", "20"],
+            ["survey", "--n", "4", "--samples", "50"],
+        )
+        for argv in commands:
+            rc, out, _ = run(capsys, argv + ["--seed", "-1"])
+            assert rc == 0
+            seeds = {x.strip() for x in out.splitlines() if x.strip().startswith("seed:")}
+            assert seeds == {f"seed: {2**64 - 1}"}
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         src = tmp_path / "m.mat"
         src.write_text("++\n++\n")
@@ -291,10 +305,10 @@ class TestExitCodes:
         assert rc == 1
 
     def test_classify_n6_without_budget_is_1(self, capsys, monkeypatch):
-        def no_sweep(n, normalized):
+        def no_sweep(n):
             raise AssertionError("swept before refusing")
 
-        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
         rc, _, err = run(capsys, ["classify", "--n", "6", "--mode", "normalized-search"])
         assert rc == 1
         assert "budget" in err
@@ -303,7 +317,7 @@ class TestExitCodes:
         def no_sweep(*args):
             raise AssertionError("swept before refusing")
 
-        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
         monkeypatch.setattr(signmat, "batch_permanent", no_sweep)
         for n in ("0", "-1"):
             for argv in (["classify", "--n", n], ["survey", "--n", n, "--samples", "10"]):
@@ -336,7 +350,7 @@ class TestExitCodes:
         def no_sweep(*args):
             raise AssertionError("swept before refusing")
 
-        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
         for n in ("5", "6"):
             argv = ["classify", "--n", n, "--mode", "normalized-search", "--budget", "-1"]
             rc, _, err = run(capsys, argv)
@@ -344,8 +358,9 @@ class TestExitCodes:
             assert "budget" in err
 
     def test_classify_n6_budget_sweeps_one_chunk(self, capsys, monkeypatch):
-        # the first 65,536-pattern chunk at n = 6 already holds 11,970
-        # vanishing matrices, so a budget of 5 must stop the sweep there
+        # the first 65,536-candidate chunk of the sorted-row sweep at n = 6
+        # already holds 15,242 vanishing matrices, so a budget of 5 must
+        # stop the sweep there
         calls = []
         kernel = signmat.batch_permanent
 

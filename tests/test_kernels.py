@@ -84,11 +84,30 @@ class TestNonGlynnOracles:
         assert [permanent(sign_matrix(m)) for m in ones] == expected
 
     def test_all_ones_above_the_int64_limit(self):
-        # Python-int products; from n = 15 part of the signs are walked.  int64
-        # sums wrap modulo 2^64, so only 2^(n-1) * n! >= 2^63 (n >= 17) makes
-        # int64 products give a wrong total here
+        # from n = 15 part of the signs are walked.  The walk wraps modulo
+        # 2^64 up to n = 16, and only 2^(n-1) * n! >= 2^63 (n >= 17) would
+        # make a wrapped total wrong here
         for n in (14, 15, 16, 17):
             assert permanent(sign_matrix(np.ones((n, n), dtype=np.int8))) == math.factorial(n)
+
+    def test_walk_in_uint64_through_16(self, monkeypatch):
+        # random matrices on the modular path against Ryser in Python ints;
+        # the walk must stay in uint64 up to n = 16 and leave it at 17
+        dtypes = []
+        walk = signmat._gray_walk
+
+        def spy(rowsums, cols):
+            dtypes.append(rowsums.dtype)
+            return walk(rowsums, cols)
+
+        monkeypatch.setattr(signmat, "_gray_walk", spy)
+        rng = np.random.Generator(np.random.Philox(key=[14, 0]))
+        for n in (14, 15):
+            m = random_signs(rng, (n, n))
+            assert permanent(sign_matrix(m)) == ryser_reference(m.tolist())
+        for n in (16, 17):
+            assert permanent(sign_matrix(np.ones((n, n), dtype=np.int8))) == math.factorial(n)
+        assert dtypes == [np.uint64] * 3 + [np.int64]
 
     @pytest.mark.parametrize("chunk", [1, 2, 8])
     def test_every_split_of_enumerated_and_walked_signs(self, monkeypatch, chunk):

@@ -1,8 +1,11 @@
 """Sign-matrix algebra: permanents, invariants, equivalence, classification."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from prodvec import signmat
@@ -111,6 +114,14 @@ def sylvester_hadamard(n):
     while len(rows) < n:
         rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
     return sign_matrix(rows)
+
+
+def sorted_row_candidates(n):
+    """Reference for the classification sweep's candidates: row 1 all +1,
+    rows 2..n a sorted multiset of the rows that start with +1 (in
+    entry order, -1 < +1), multisets in lexicographic order."""
+    rows = [(1,) + r for r in itertools.product((-1, 1), repeat=n - 1)]
+    return [((1,) * n,) + rest for rest in itertools.combinations_with_replacement(rows, n - 1)]
 
 
 def orbit_walk(start, n):
@@ -507,15 +518,56 @@ class TestClassifyVanishing:
 
     def test_budget_matches_truncated_full_sweep(self):
         # the budget stops the sweep early; the classes must be those of
-        # the first K patterns of the complete sweep
-        full = signmat.find_vanishing(5, True)
-        for budget in (2, 3):
-            expected = {
-                canonical_form(decode_pattern(int(p), 5)).entries
-                for p in full[:budget]
-            }
+        # the first K vanishing matrices in sorted-row order.  At K = 200
+        # the first K of the brute normalized sweep give other classes
+        candidates = sorted_row_candidates(5)
+        pers = signmat.batch_permanent(np.array(candidates))
+        vanishing = [m for m, p in zip(candidates, pers) if p == 0]
+        for budget in (2, 3, 200):
+            expected = {canonical_form(sign_matrix(m)).entries for m in vanishing[:budget]}
             found = classify_vanishing(5, "normalized-search", budget)
             assert {c.entries for c in found} == expected
+        brute = signmat.find_vanishing(5, True)[:200]
+        assert {canonical_form(decode_pattern(int(p), 5)).entries for p in brute} != expected
+
+    def test_sorted_rows_against_the_normalized_sweep(self):
+        # the sweep's candidates are the reference multisets in order; each
+        # stands for its distinct orders of rows 2..n, so weighted by them
+        # the vanishing ones count the brute normalized sweep, and sorting
+        # rows 2..n of every brute matrix gives a vanishing candidate
+        for n in range(1, 6):
+            mats = np.concatenate(list(signmat._sorted_rows(n)))
+            assert mats.tolist() == [list(map(list, m)) for m in sorted_row_candidates(n)]
+            vanishing = {
+                tuple(map(tuple, m)) for m in mats[signmat.batch_permanent(mats) == 0].tolist()
+            }
+            weight = sum(
+                math.factorial(n - 1) // math.prod(map(math.factorial, Counter(m[1:]).values()))
+                for m in vanishing
+            )
+            brute = signmat._unpack(signmat.find_vanishing(n, True), n * n).reshape(-1, n, n)
+            brute = [tuple(map(tuple, m)) for m in brute.tolist()]
+            assert weight == len(brute)
+            assert {m[:1] + tuple(sorted(m[1:])) for m in brute} == vanishing
+            classes = {canonical_form(sign_matrix(m)).entries for m in vanishing}
+            if n <= 4:
+                assert {canonical_form(sign_matrix(m)).entries for m in brute} == classes
+            found = classify_vanishing(n, "normalized-search")
+            assert {c.entries for c in found} == classes
+
+    def test_sorted_rows_chunks_across_first_indices(self, monkeypatch):
+        # chunks are cut across the blocks of one first index: with a chunk
+        # of 7 the n = 5 candidates still come whole and in order
+        monkeypatch.setattr(signmat, "_SWEEP_CHUNK", 7)
+        chunks = list(signmat._sorted_rows(5))
+        assert [len(c) for c in chunks[:-1]] == [7] * (len(chunks) - 1)
+        mats = np.concatenate(chunks)
+        assert mats.tolist() == [list(map(list, m)) for m in sorted_row_candidates(5)]
+        monkeypatch.undo()
+        chunks = list(signmat._sorted_rows(6))
+        assert [len(c) for c in chunks] == [1 << 16] * 5 + [376_992 - 5 * (1 << 16)]
+        codes = signmat._pack(np.concatenate(chunks).reshape(-1, 36).astype(np.int64))
+        assert (np.diff(codes) > 0).all()
 
     def test_exhaustive_matches_orbit_enumeration(self):
         # reference: walk the whole orbit of every vanishing matrix and keep
@@ -534,7 +586,7 @@ class TestClassifyVanishing:
         def no_sweep(*args):
             raise AssertionError("swept before refusing")
 
-        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
         for n in (0, -1):
             for mode in ("exhaustive", "normalized-search"):
                 with pytest.raises(ValueError):
@@ -545,11 +597,11 @@ class TestClassifyVanishing:
             classify_vanishing(5, "exhaustive")
 
     def test_n6_normalized_search_needs_budget(self, monkeypatch):
-        # the refusal must come before the 2^25-pattern sweep
-        def no_sweep(n, normalized):
+        # the refusal must come before the 376,992-candidate sweep
+        def no_sweep(n):
             raise AssertionError("swept before refusing")
 
-        monkeypatch.setattr(signmat, "find_vanishing", no_sweep)
+        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
         for budget in (None, 0):
             with pytest.raises(UnsupportedSizeError):
                 classify_vanishing(6, "normalized-search", budget)
