@@ -43,10 +43,10 @@ from .errors import ParseError, UnsupportedSizeError
 
 SCHEMA = "prodvec-report/6"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
-# draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 28 to 48 ns
-# at n >= 6 and 10 to 35 ns at n <= 4, each chunk tallied by np.unique;
-# `prodvec survey` at the limit took 0.8 s at n = 1, 2.4 s at n = 2, 3.3 s
-# at n = 10 and 2.2 s at n = 13.
+# draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 19 to 23 ns
+# at n >= 10 and 34 to 45 ns at n <= 2, each chunk tallied by np.unique;
+# `prodvec survey` at the limit took 2.3 to 2.9 s at n = 1, 2.9 to 3.0 s at
+# n = 2, 1.3 s at n = 10, 1.5 s at n = 13 and 1.4 s at n = 16.
 SURVEY_MAX_STEPS = 1 << 26
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -358,8 +358,8 @@ def _cmd_survey(args) -> list[str]:
     n, samples = args.n, args.samples
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    if n > signmat.MAX_INT64_N:
-        raise UnsupportedSizeError(f"survey supports n <= {signmat.MAX_INT64_N}")
+    if n > signmat.MAX_UINT64_N:
+        raise UnsupportedSizeError(f"survey supports n <= {signmat.MAX_UINT64_N}")
     if samples < 1:
         raise ValueError("--samples must be positive")
     if samples << (n - 1) > SURVEY_MAX_STEPS:

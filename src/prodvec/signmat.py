@@ -22,19 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, UnsupportedSizeError
+from .truncpoly import _crt, _primes_over
 
 # Glynn's sum doubles with each n: on a 2-CPU Xeon host, `prodvec
-# permanent` takes 7.7 to 8.2 s on a random 24 x 24 sign matrix, the slowest
+# permanent` takes 0.9 to 1.3 s on a random 24 x 24 sign matrix, the slowest
 # input admitted.
 PERMANENT_MAX_N = 24
 # Glynn's signed total is 2^(n-1) * per(a), at most 2^(n-1) * n! < 2^63 in
 # modulus while n <= 16.  Up to there the walk multiplies and sums in uint64,
 # modulo 2^64, and the total read back as int64 is exact: the partial sums are
-# not bounded, only the full total.  Above it the products are Python ints.
+# not bounded, only the full total.  Above it, walks modulo primes below 2^31
+# give the rest and the Chinese remainder theorem rebuilds the total.
 MAX_UINT64_N = 16
-# batch_permanent and survey admit n <= 13: each matrix of a batch costs a
-# 2^(n-1)-step walk over (B, n) row sums, and survey's contract stops there.
-MAX_INT64_N = 13
+# Largest B * 2^(n-1) Glynn terms one batch_permanent call walks, checked
+# before any allocation: 3.4 to 3.7 s on a 2-CPU Xeon host at n = 16.
+BATCH_MAX_TERMS = 1 << 27
 NAIVE_MAX_N = 9
 ADDITION_MAX_N = 8
 CANONICAL_MAX_SIZE = 6
@@ -42,11 +44,11 @@ CANONICAL_MAX_SIZE = 6
 # host, 0.26 s for a random 128 x 128 matrix against 37 s for a random
 # 400 x 400 one.  Larger inputs are refused before any work.  Square inputs
 # up to PERMANENT_MAX_N also pay the Glynn permanent, so the slowest input
-# admitted is a random 24 x 24 one: 8.0 s for `prodvec invariants`.
+# admitted is a random 24 x 24 one: 1.0 s for `prodvec invariants`.
 INVARIANTS_MAX_SIZE = 128
-# Row-sum vectors that `permanent` stacks and walks at once; bounds its
-# (chunk, n) temporaries.
-_GLYNN_CHUNK = 1 << 13
+# Row sums per row that the Glynn walk steps at once: the last e signs are
+# enumerated into 2^e stack slices of B matrices while 2^e * B fits.
+_STACK_WIDTH = 1 << 13
 # Candidate matrices one classification sweep builds and walks at once.
 _SWEEP_CHUNK = 1 << 16
 
@@ -162,71 +164,93 @@ def associated_matrix(subsets: Sequence[Iterable[int]], n: int) -> SignMatrix:
 # -- permanents --------------------------------------------------------------
 
 
-def _gray_walk(rowsums: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Glynn's signed sum over the walked signs for each stacked row-sum vector.
+@functools.cache
+def _stack_signs(e: int) -> np.ndarray:
+    """(-1)^(set bits of s) for the 2^e stack slices s, shared by every call."""
+    return np.array([(-1) ** s.bit_count() for s in range(1 << e)], dtype=np.int64)
 
-    ``rowsums`` (B, n) has every walked sign at +1 and ``cols`` (..., n, w)
-    holds the walked columns.  In Gray-code order each step flips one sign
-    and moves every row sum by twice one column.  uint64 inputs are walked
-    modulo 2^64 (see MAX_UINT64_N); int64 ones multiply in Python ints.
+
+def _glynn(mats: np.ndarray, q: int | None = None) -> np.ndarray:
+    """Glynn's signed total sum over d in {+-1}^n with d_0 = +1 of
+    (prod_k d_k) * prod_i (a d)_i for each a of a (B, n, n) stack.
+
+    Row sums are exact int64 (|(a d)_i| <= n), kept as (n, 2^e, B): the
+    last e signs are enumerated into the stack, e as large as 2^e * B <=
+    ``_STACK_WIDTH`` and e <= n - 1 allow, and signs 1..n-1-e are walked in
+    Gray-code order, each step moving every row sum by twice one column.
+    With q None the rows multiply in turn and the terms sum in uint64,
+    modulo 2^64; with a prime q < 2^31, in int64 residues reduced after
+    twelve rows and then every six: 24^12 and 24^6 * q are below 2^63.
     """
-    dtype = np.uint64 if rowsums.dtype == np.uint64 else object
-    total = rowsums.prod(axis=1, dtype=dtype)
-    for k in range(1, 1 << cols.shape[-1]):
-        t = (k & -k).bit_length() - 1
-        if (k ^ (k >> 1)) >> t & 1:
-            rowsums -= 2 * cols[..., t]
+    b, n, _ = mats.shape
+    e = 0
+    while e < n - 1 and b << (e + 1) <= _STACK_WIDTH:
+        e += 1
+    w = n - 1 - e
+    cols = mats.transpose(2, 1, 0).astype(np.int64, order="C")  # cols[j, i] = a[:, i, j]
+    twice = 2 * cols[:, :, None]
+    rowsums = np.empty((n, 1 << e, b), dtype=np.int64)
+    cols.sum(axis=0, out=rowsums[:, 0])
+    for j in range(e):  # slice s has d = -1 at the enumerated signs of its set bits
+        np.subtract(rowsums[:, : 1 << j], twice[w + 1 + j], out=rowsums[:, 1 << j : 2 << j])
+    signs = _stack_signs(e)
+    if q is None:
+        rows, signs = rowsums.view(np.uint64), signs.view(np.uint64)  # two's complement
+    total = np.zeros(rowsums.shape[1:], dtype=np.uint64 if q is None else np.int64)
+    term = np.empty_like(total)
+    for k in range(1 << w):
+        if k:  # flip sign t + 1: d goes to -1 where bit t of the Gray code is set
+            t = (k & -k).bit_length() - 1
+            step = np.subtract if (k ^ (k >> 1)) >> t & 1 else np.add
+            step(rowsums, twice[t + 1], out=rowsums)
+        if q is None:
+            np.prod(rows, axis=0, out=term)
         else:
-            rowsums += 2 * cols[..., t]
-        if k & 1:
-            total -= rowsums.prod(axis=1, dtype=dtype)
-        else:
-            total += rowsums.prod(axis=1, dtype=dtype)
-    return total
+            np.prod(rowsums[:12], axis=0, out=term)
+            for i in range(12, n, 6):
+                term %= q
+                term *= rowsums[i : i + 6].prod(axis=0)
+            term %= q
+        (np.subtract if k & 1 else np.add)(total, term, out=total)
+    return signs @ total if q is None else signs @ total % q
 
 
 def permanent(m: SignMatrix) -> int:
     """Exact permanent by Glynn's formula (Glynn 2010, Eur. J. Combin. 31):
     per(a) = 2^-(n-1) * sum over d in {+-1}^n with d_0 = +1 of
-    (prod_k d_k) * prod_i (a d)_i.  The last min(n - 1, 13) signs form a
-    stack of at most ``_GLYNN_CHUNK`` row-sum vectors, weighted by the
-    product of their signs; ``_gray_walk`` walks the others.  Up to
-    MAX_UINT64_N everything is uint64 modulo 2^64, and only the final
-    total is read back as a signed value.
+    (prod_k d_k) * prod_i (a d)_i, the one-matrix case of ``_glynn``.  Up
+    to MAX_UINT64_N the walk modulo 2^64 gives the total; above it, walks
+    modulo primes from ``truncpoly._primes_over`` give the rest.
     """
     if not m.is_square:
         raise ValueError("permanent requires a square matrix")
     n = m.rows
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent supports n <= {PERMANENT_MAX_N}")
-    a = np.array(m.entries, dtype=np.int64)
-    if n <= MAX_UINT64_N:
-        a = a.view(np.uint64)  # two's complement: -1 is 2^64 - 1
-    e = min(n - 1, _GLYNN_CHUNK.bit_length() - 1)
-    rowsums, signs = a.sum(axis=1)[None], np.ones(1, dtype=a.dtype)
-    for j in range(n - e, n):
-        rowsums = np.concatenate([rowsums, rowsums - 2 * a[:, j]])
-        signs = np.concatenate([signs, -signs])
-    total = (_gray_walk(rowsums, a[:, 1 : n - e]) * signs).sum()
-    if n <= MAX_UINT64_N:
-        total = total.view(np.int64)
-    return int(total) >> (n - 1)
+    a = np.array(m.entries, dtype=np.int8)[None]
+    # 2^64 * prod(primes) must exceed 2^n * n! >= 2 * |Glynn total|
+    primes = _primes_over((math.factorial(n) << n) >> 64) if n > MAX_UINT64_N else []
+    residues = [int(_glynn(a)[0])] + [int(_glynn(a, q)[0]) for q in primes]
+    return _crt(residues, [1 << 64, *primes]) >> (n - 1)
 
 
 def batch_permanent(mats: np.ndarray) -> np.ndarray:
-    """int64 permanents of a (B, n, n) batch of sign matrices by Glynn's
-    formula, walking columns 1..n-1 of every matrix modulo 2^64 (see
-    ``_gray_walk``)."""
+    """int64 permanents of a (B, n, n) stack of sign matrices, n <=
+    MAX_UINT64_N, by ``_glynn`` modulo 2^64."""
     mats = np.asarray(mats)
     b, n, n2 = mats.shape
     if n != n2:
         raise ValueError("matrices must be square")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
-    if n > MAX_INT64_N:
-        raise ValueError(f"batch_permanent supports n <= {MAX_INT64_N}")
-    mats = mats.astype(np.uint64)  # two's complement: -1 is 2^64 - 1
-    return _gray_walk(mats.sum(axis=2), mats[:, :, 1:]).view(np.int64) >> (n - 1)
+    if n > MAX_UINT64_N:
+        raise ValueError(f"batch_permanent supports n <= {MAX_UINT64_N}")
+    if b << (n - 1) > BATCH_MAX_TERMS:
+        raise UnsupportedSizeError(f"{b} permanents at n = {n} take {b << (n - 1)} Glynn"
+                                   f" terms; at most {BATCH_MAX_TERMS} are supported")
+    # chunks of _STACK_WIDTH matrices bound the walk's int64 copies
+    totals = [_glynn(mats[i : i + _STACK_WIDTH]) for i in range(0, max(b, 1), _STACK_WIDTH)]
+    return np.concatenate(totals).view(np.int64) >> (n - 1)
 
 
 def permanent_naive(m: SignMatrix) -> int:

@@ -182,6 +182,16 @@ def _primes_over(bound: int) -> list[int]:
     return _PRIMES[:count]
 
 
+def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
+    """The x with |x| <= prod(moduli) / 2 and x = residues[i] mod moduli[i],
+    for pairwise coprime moduli, by the Chinese remainder theorem."""
+    x, mod = 0, 1
+    for q, r in zip(moduli, residues):
+        x += mod * ((r - x) * pow(mod, -1, q) % q)
+        mod *= q
+    return x - mod if 2 * x > mod else x
+
+
 def _difference_weights(m: int, q: int) -> list[int]:
     """(-1)^(m - t) C(m, t) / m! = (-1)^(m - t) / (t! (m - t)!) mod q, t = 0..m, prime q > m."""
     fact = list(itertools.accumulate(range(1, m + 1), lambda f, t: f * t % q, initial=1))
@@ -224,11 +234,7 @@ def _critical_top(sigma, powers: Sequence[int], dims: Sequence[int]) -> int:
             v = sum((tj if s > 0 else -tj for s, tj in zip(row, t)), big_n)
             term = term * table.take(v, axis=1) % p
         total = (total + term.sum(axis=1)) % p[:, 0]
-    top, mod = 0, 1
-    for q, res in zip(primes, total.tolist()):
-        top += mod * ((res - top) * pow(mod, -1, q) % q)
-        mod *= q
-    return top - mod if 2 * top > mod else top
+    return _crt(total.tolist(), primes)
 
 
 def _multinomial(k: int, parts: Sequence[int]) -> int:

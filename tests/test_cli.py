@@ -1,5 +1,6 @@
 """CLI: parsing, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 import warnings
@@ -226,6 +227,24 @@ class TestCommands:
         assert rc == 0
         assert out1 == out2
         assert "vanishing_fraction:" in out1
+
+    @pytest.mark.parametrize(
+        "n, samples, seed, digest",
+        [
+            (6, 2000, 1, "2d3c49c33e745a66c9c838984453ccf2d5b4b8d532bf0890499b736c495b1a66"),
+            (8, 1000, 2, "a1d746c22fad98e9234a98d247a1439aff495ca119f6304b4485a53045b2a82d"),
+            (10, 500, 3, "bc1ed9e5c481f656265ec051448ec93eeaedd1e5d9da355603bd0e833c07f648"),
+            (13, 300, 4, "9b131a021da60be420b21654d52714a11a67439c01fd3d72063327c03ad2d3f0"),
+        ],
+    )
+    def test_survey_reports_are_pinned(self, capsys, n, samples, seed, digest):
+        # the benchmark's survey shapes and n = 13, against the bytes of the
+        # reports before the stacked Glynn walk: no kernel change may move
+        # a histogram
+        argv = ["survey", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_edge_default_tol_is_the_rank_cut(self, capsys, tmp_path):
         path = tmp_path / "mixed.state"
@@ -464,11 +483,16 @@ class TestExitCodes:
                 raise AssertionError("drew before checking the survey work")
 
         monkeypatch.setattr(cli.np.random, "Generator", NoDraw)
-        for n, samples in (("13", "20000"), ("1", str(cli.SURVEY_MAX_STEPS + 1))):
+        over = {"16": str((cli.SURVEY_MAX_STEPS >> 15) + 1), "1": str(cli.SURVEY_MAX_STEPS + 1)}
+        for n, samples in over.items():
             rc, out, err = run(capsys, ["survey", "--n", n, "--samples", samples])
             assert rc == 1
             assert out == ""
             assert f"at most {cli.SURVEY_MAX_STEPS}" in err
+        rc, out, err = run(capsys, ["survey", "--n", "17", "--samples", "1"])
+        assert rc == 1
+        assert out == ""
+        assert f"n <= {signmat.MAX_UINT64_N}" in err
 
     def test_oversized_ring_is_1(self, capsys, tmp_path, monkeypatch):
         # (12,)^6 has 2,985,984 cells; 60 equations keep the spec below the

@@ -1,4 +1,4 @@
-"""The batched int64 permanent kernel and the vanishing-permanent sweeps."""
+"""The stacked Glynn permanent kernel and the vanishing-permanent sweeps."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from prodvec import signmat
+from prodvec.errors import UnsupportedSizeError
 from prodvec.signmat import (
     batch_permanent,
     find_vanishing,
@@ -76,51 +77,81 @@ class TestNonGlynnOracles:
                 assert int(batch_permanent(m[None])[0]) == expected
 
     def test_batch_all_ones_at_the_int64_limit(self):
-        # |per| = 13! needs the whole 2^12 * 13^13 bound of the int64 sum
-        ones = np.ones((2, 13, 13), dtype=np.int8)
+        # |per| = 16! needs the whole 2^15 * 16! < 2^63 bound of the total
+        # read back as int64
+        ones = np.ones((2, 16, 16), dtype=np.int8)
         ones[1, 0] = -1
-        expected = [math.factorial(13), -math.factorial(13)]
+        expected = [math.factorial(16), -math.factorial(16)]
         assert batch_permanent(ones).tolist() == expected
         assert [permanent(sign_matrix(m)) for m in ones] == expected
 
     def test_all_ones_above_the_int64_limit(self):
-        # from n = 15 part of the signs are walked.  The walk wraps modulo
-        # 2^64 up to n = 16, and only 2^(n-1) * n! >= 2^63 (n >= 17) would
-        # make a wrapped total wrong here
-        for n in (14, 15, 16, 17):
-            assert permanent(sign_matrix(np.ones((n, n), dtype=np.int8))) == math.factorial(n)
+        # from n = 17 the total 2^(n-1) * n! no longer fits modulo 2^64, and
+        # from n = 23 one prime below 2^31 no longer makes up the rest
+        for n in range(14, 25):
+            ones = np.ones((n, n), dtype=np.int8)
+            ones[n // 2] = (-1) ** n  # odd n: one row negated, so per = -n!
+            assert permanent(sign_matrix(ones)) == (-1) ** n * math.factorial(n)
+
+    def test_residues_match_ryser_above_16(self):
+        # Ryser's Python-int loop doubles with each n: about 0.3 s at n = 17
+        # and 3 s at n = 20, so only the first residue size runs here
+        rng = np.random.Generator(np.random.Philox(key=[17, 0]))
+        for n in (17,):
+            m = random_signs(rng, (n, n))
+            assert permanent(sign_matrix(m)) == ryser_reference(m.tolist())
 
     def test_walk_in_uint64_through_16(self, monkeypatch):
         # random matrices on the modular path against Ryser in Python ints;
-        # the walk must stay in uint64 up to n = 16 and leave it at 17
-        dtypes = []
-        walk = signmat._gray_walk
+        # the walk must stay modulo 2^64 up to n = 16 and add walks modulo
+        # a prime at 17
+        moduli = []
+        walk = signmat._glynn
 
-        def spy(rowsums, cols):
-            dtypes.append(rowsums.dtype)
-            return walk(rowsums, cols)
+        def spy(mats, q=None):
+            moduli.append(q)
+            totals = walk(mats, q)
+            assert totals.dtype == (np.uint64 if q is None else np.int64)
+            return totals
 
-        monkeypatch.setattr(signmat, "_gray_walk", spy)
+        monkeypatch.setattr(signmat, "_glynn", spy)
         rng = np.random.Generator(np.random.Philox(key=[14, 0]))
         for n in (14, 15):
             m = random_signs(rng, (n, n))
             assert permanent(sign_matrix(m)) == ryser_reference(m.tolist())
         for n in (16, 17):
             assert permanent(sign_matrix(np.ones((n, n), dtype=np.int8))) == math.factorial(n)
-        assert dtypes == [np.uint64] * 3 + [np.int64]
+        assert moduli[:4] == [None] * 4 and len(moduli) == 5 and moduli[4] > 1 << 30
 
     @pytest.mark.parametrize("chunk", [1, 2, 8])
     def test_every_split_of_enumerated_and_walked_signs(self, monkeypatch, chunk):
-        monkeypatch.setattr(signmat, "_GLYNN_CHUNK", chunk)
+        monkeypatch.setattr(signmat, "_STACK_WIDTH", chunk)
         rng = np.random.Generator(np.random.Philox(key=[13, chunk]))
         for n in range(1, 13):
             m = random_signs(rng, (n, n))
             expected = permanent_naive(sign_matrix(m)) if n <= 8 else ryser_reference(m.tolist())
             assert permanent(sign_matrix(m)) == expected
 
+    def test_batches_straddling_the_stack_width(self, monkeypatch):
+        # one pool of matrices per n; every width sees batches of 1, 3,
+        # width - 1, width and width + 1 of them, and a column-strided view
+        rng = np.random.Generator(np.random.Philox(key=[15, 0]))
+        for n in range(1, 11):
+            wide = random_signs(rng, (9, n, 2 * n))
+            pool = wide[:, :, ::2]
+            expected = [
+                permanent_naive(sign_matrix(m)) if n <= 8 else ryser_reference(m.tolist())
+                for m in pool
+            ]
+            for width in (1, 2, 8):
+                monkeypatch.setattr(signmat, "_STACK_WIDTH", width)
+                for b in (1, 3, width - 1, width, width + 1):
+                    assert batch_permanent(pool[:b]).tolist() == expected[:b]
+                    assert batch_permanent(np.ascontiguousarray(pool[:b])).tolist() == expected[:b]
+
     def test_batch_matches_naive_and_permanent(self):
         rng = np.random.Generator(np.random.Philox(key=[11, 0]))
-        for n in range(1, 14):
+        for n in range(1, 17):
             mats = random_signs(rng, (6 if n <= 8 else 2, n, n))
             oracle = permanent_naive if n <= 8 else permanent
             expected = [oracle(sign_matrix(m)) for m in mats]
@@ -153,9 +184,18 @@ class TestKernel:
             assert int(batch[i]) == permanent(sign_matrix(mats[i]))
 
     def test_size_guard(self):
-        a = np.ones((1, 14, 14), dtype=np.int8)
+        a = np.ones((1, 17, 17), dtype=np.int8)
         with pytest.raises(ValueError):
             batch_permanent(a)
+
+    def test_work_guard_before_any_allocation(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked before checking the work")
+
+        monkeypatch.setattr(signmat, "_glynn", no_walk)
+        b = (signmat.BATCH_MAX_TERMS >> 15) + 1
+        with pytest.raises(UnsupportedSizeError, match=f"at most {signmat.BATCH_MAX_TERMS}"):
+            batch_permanent(np.broadcast_to(np.ones((1, 1, 1), dtype=np.int8), (b, 16, 16)))
 
     def test_refuses_empty_matrices(self):
         # the 0 x 0 permanent is 1, but the kernel's Ryser sum would give 0
@@ -164,7 +204,7 @@ class TestKernel:
 
     def test_permanent_matches_batch_above_naive_limit(self):
         rng = np.random.Generator(np.random.Philox(key=[9, 0]))
-        for n in range(9, 14):
+        for n in range(9, 17):
             mats = (2 * rng.integers(0, 2, size=(3, n, n)) - 1).astype(np.int8)
             for m, p in zip(mats, batch_permanent(mats)):
                 assert permanent(sign_matrix(m)) == int(p)

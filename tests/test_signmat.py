@@ -256,7 +256,7 @@ class TestPermanent:
             assert permanent(apply_op(m, EquivalenceOp("negate-col", j))) == -p
 
     def test_big_int_path_beyond_int64_bound(self):
-        # beyond the int64 batch kernel's bound, permanent stays exact
+        # per = 14!, whose Glynn total 2^13 * 14! < 2^63 is exact modulo 2^64
         m = sign_matrix(["+" * 14] * 14)
         import math
 
