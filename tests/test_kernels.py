@@ -76,7 +76,7 @@ class TestNonGlynnOracles:
                 assert permanent(sign_matrix(m)) == expected
                 assert int(batch_permanent(m[None])[0]) == expected
 
-    def test_batch_all_ones_at_the_int64_limit(self):
+    def test_batch_all_ones_at_the_uint64_limit(self):
         # |per| = 16! needs the whole 2^15 * 16! < 2^63 bound of the total
         # read back as int64
         ones = np.ones((2, 16, 16), dtype=np.int8)
@@ -85,7 +85,7 @@ class TestNonGlynnOracles:
         assert batch_permanent(ones).tolist() == expected
         assert [permanent(sign_matrix(m)) for m in ones] == expected
 
-    def test_all_ones_above_the_int64_limit(self):
+    def test_all_ones_above_the_uint64_limit(self):
         # from n = 17 the total 2^(n-1) * n! no longer fits modulo 2^64, and
         # from n = 23 one prime below 2^31 no longer makes up the rest
         for n in range(14, 25):

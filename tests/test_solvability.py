@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from test_truncpoly import brute_expand
 
 from prodvec import solvability
-from prodvec.signmat import permanent, sign_matrix
+from prodvec.signmat import associated_matrix, permanent, sign_matrix
 from prodvec.solvability import (
     EXISTS_NONZERO,
     GENERICALLY_EMPTY,
@@ -279,6 +280,30 @@ class TestVerdict:
             assert v.n_equations == v.n_unknowns
             assert v.product_vanishes == (v.top_coefficient == 0)
             assert (v.basis == "critical-top-coefficient") == (not v.product_vanishes)
+            seen.add(v.product_vanishes)
+        assert seen == {True, False}
+
+    def test_underdetermined_product_vanishes_matches_brute_expansion(self):
+        # below the critical count the benchmark's checks never read
+        # product_vanishes, so this is its only oracle; the shapes with four
+        # unit codimensions are where vanishing products turn up
+        rng = random.Random(61)
+        shapes = [((2,) * 5, 4), ((2, 2, 4), 4), ((2, 2, 2, 3), 4), ((3, 3, 2), 4), ((2,) * 4, 3)]
+        seen = set()
+        for _ in range(300):
+            dims, r = rng.choice(shapes)
+            n, n_u = len(dims), sum(d - 1 for d in dims)
+            codims = [1] * r
+            for _ in range(rng.randint(0, n_u - 1 - r)):
+                codims[rng.randrange(r)] += 1
+            subsets = [{j for j in range(1, n + 1) if rng.random() < 0.5} for _ in codims]
+            spec = problem_spec(dims, list(zip(subsets, codims)))
+            v = verdict(spec)
+            assert v.n_equations < v.n_unknowns
+            red = reduce(spec)
+            rows = associated_matrix([c.subset for c in red.constraints], n).entries
+            product = brute_expand(rows, [c.codim for c in red.constraints], red.dims)
+            assert v.product_vanishes == (product == {})
             seen.add(v.product_vanishes)
         assert seen == {True, False}
 

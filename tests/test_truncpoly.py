@@ -104,6 +104,99 @@ class TestExpandProduct:
             expand_product([[1, -1]], [1], (2, 2, 2))
 
 
+@pytest.fixture
+def primes_taken(monkeypatch):
+    """The prime lists truncpoly._primes_over hands out, in call order."""
+    taken = []
+    primes_over = truncpoly._primes_over
+
+    def spy(bound):
+        taken.append(primes_over(bound))
+        return taken[-1]
+
+    monkeypatch.setattr(truncpoly, "_primes_over", spy)
+    return taken
+
+
+class TestLayerWalk:
+    """expand_product walks one homogeneous layer over all parties but a
+    largest one, in uint64 while twice the largest multinomial on the ring
+    is below 2^64 and with residue rows modulo primes above that."""
+
+    def test_random_specs_match_both_oracles(self):
+        rng = random.Random(2026)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            dims = tuple(rng.randint(1, 5) for _ in range(n))
+            rows = random_rows(rng, rng.randint(1, 4), n)
+            powers = [rng.randint(0, 4) for _ in rows]
+            p = expand_product(rows, powers, dims)
+            assert p.coeffs == brute_expand(rows, powers, dims)
+            for m, c in itertools.islice(p.coeffs.items(), 3):
+                assert c == coefficient_direct(rows, powers, m)
+
+    def test_one_party(self):
+        for d in range(1, 7):
+            for s in (1, -1):
+                for k in range(9):
+                    p = expand_product([[s], [-s]], [k, 1], (d,))
+                    assert p.coeffs == ({(k + 1,): -(s ** (k + 1))} if k + 1 < d else {})
+
+    @pytest.mark.parametrize("dims", [(3, 2, 6), (6, 2, 3), (2, 6, 3), (4, 5, 3, 5)])
+    def test_last_party_saturates(self, dims):
+        # the largest party's exponent is implied by the degree; here the
+        # untruncated product reaches it, so the walk must cut those cells
+        rng = random.Random(sum(dims))
+        last = dims.index(max(dims))
+        deg = sum(dims) - len(dims) - 1
+        for _ in range(10):
+            rows = random_rows(rng, 3, len(dims))
+            powers = [deg - deg // 3 * 2, deg // 3, deg // 3]
+            full = brute_expand(rows, powers)
+            assert any(m[last] >= dims[last] for m in full)
+            p = expand_product(rows, powers, dims)
+            assert p.coeffs == brute_expand(rows, powers, dims)
+
+    @pytest.mark.parametrize("rows", [EX25_ROWS, FIVE_QUBIT_1])
+    def test_vanishing_products_stay_zero_under_relabeling(self, rows):
+        # every order of the parties, so that each takes the implied place
+        sigma = sign_matrix(rows).entries
+        dims = (2, 2, 4) if rows is EX25_ROWS else (2,) * 5
+        for perm in itertools.permutations(range(len(dims))):
+            permuted = [[row[j] for j in perm] for row in sigma]
+            pdims = tuple(dims[j] for j in perm)
+            assert expand_product(permuted, [1] * 4, pdims).is_zero()
+            assert brute_expand(permuted, [1] * 4, pdims) == {}
+
+    def test_residues_at_97_bits(self, primes_taken):
+        # 2 * 89! / (30! 30! 29!) > 2^64 * q^2, so three primes are taken;
+        # the coefficients of ((a + c)^2 - b^2)^44 (a + b + c) reach 97 bits
+        rows, powers, dims = [[1, 1, 1], [1, -1, 1]], [45, 44], (40, 40, 40)
+        p = expand_product(rows, powers, dims)
+        assert [len(t) for t in primes_taken] == [3]
+        assert p.coeffs == brute_expand(rows, powers, dims)
+        assert max(abs(c) for c in p.coeffs.values()).bit_length() == 97
+        for m in [(39, 11, 39), (20, 30, 39)]:
+            assert p.coefficient(m) == coefficient_direct(rows, powers, m)
+
+    @pytest.mark.parametrize("deg, count", [(39, 0), (44, 1), (64, 2)])
+    def test_all_plus_rows_need_every_prime(self, primes_taken, deg, count):
+        # (a + b + c)^deg untruncated: each coefficient is a multinomial,
+        # and the largest needs all of the moduli 2^64 and the primes taken
+        dims = (deg + 1,) * 3
+        for row in ([1, 1, 1], [-1, 1, -1]):
+            p = expand_product([row], [deg], dims)
+            assert len(p.coeffs) == (deg + 1) * (deg + 2) // 2
+            for m, c in p.coeffs.items():
+                assert c == truncpoly._multinomial_count(m) * math.prod(s**e for s, e in zip(row, m))
+        assert [len(t) for t in primes_taken] == ([count] * 2 if count else [])
+        top = max(abs(c) for c in p.coeffs.values())
+        if count:
+            assert 2 * top > (1 << 64) * math.prod(primes_taken[0][:-1])
+        else:
+            assert 2 * top < 1 << 64
+
+
 class TestCoefficient:
     def test_binomial_square(self):
         p = expand_product([[1, 1]], [2], (2, 2))
