@@ -15,8 +15,8 @@ Verdict basis tags (one fixed rule per tag):
   ``generic=True``).
 - ``critical-top-coefficient``: N_E = N_U and the coefficient of the
   maximal monomial prod_j a_j^{d_j-1} is nonzero; a solution exists.
-  The product is then that monomial alone, and its coefficient comes
-  from the signed point sum of ``truncpoly._critical_top``, unexpanded.
+  The product is then that monomial alone, and its coefficient is the
+  top cell of ``truncpoly.expand_product``'s layer walk.
 - ``underdetermined-nonvanishing``: N_E < N_U and the sign product is
   nonzero in the truncated ring; infinitely many solutions.
 - ``underdetermined-full-rank``: N_E < N_U and the reduced sign matrix
@@ -149,23 +149,16 @@ def verdict(spec: ProblemSpec) -> Verdict:
     r = len(red.constraints)
     # The sign product prod_i (sigma_i . a)^{k_i} in the truncated ring is
     # homogeneous of degree n_e, and no monomial above degree n_u (>= 1)
-    # survives: n_e > n_u makes it 0, n_e = n_u leaves the top monomial
-    # alone, taken unexpanded, and n_e < n_u leaves the top coefficient 0
-    # (with no constraints the product is the unit).
+    # survives: n_e > n_u makes it 0 unexpanded, n_e = n_u leaves the top
+    # monomial alone, and n_e < n_u leaves the top coefficient 0 (with no
+    # constraints the product is the unit).
+    top, vanishes, rank = 0, n_e > n_u, 0
     if r:
         sigma = associated_matrix([c.subset for c in red.constraints], n)
         rank = integer_rank(sigma.entries)
-        codims = [c.codim for c in red.constraints]
-    else:
-        rank = 0
-    if n_e > n_u:
-        top, vanishes = 0, True
-    elif n_e == n_u:
-        top = truncpoly._critical_top(sigma, codims, red.dims)
-        vanishes = top == 0
-    else:
-        top = 0
-        vanishes = bool(r) and truncpoly.expand_product(sigma, codims, red.dims).is_zero()
+        if not vanishes:
+            product = truncpoly.expand_product(sigma, [c.codim for c in red.constraints], red.dims)
+            top, vanishes = product.top_coefficient(), product.is_zero()
 
     def make(kind, basis, generic=False):
         return Verdict(

@@ -24,14 +24,10 @@ int64.  Above it, the layer carries one residue row per prime from
 true sum lies in (-nq, nq), and CRT over [2^64, *primes] rebuilds each
 coefficient, as ``signmat.permanent`` does.
 
-A critical product (sum k_i = N = sum m_j, m_j = d_j - 1) is its top
-monomial prod_j a_j^{m_j} alone, with coefficient per(M) / prod m_j!,
-where M repeats sign row i k_i times and column j m_j times.  Ryser's
-formula with column multiplicities makes it one signed sum over the
-ring's points t: top = sum_t prod_j (-1)^(m_j - t_j) C(m_j, t_j) / m_j!
-* prod_i (sigma_i . t)^(k_i).  ``_critical_top`` evaluates it in int64
-modulo primes below 2^31 whose product exceeds 2 N! / prod m_j! >= 2|top|
-and rebuilds the exact integer by the Chinese remainder theorem.
+A critical product (sum k_i = sum_j (d_j - 1)) is its top monomial alone:
+the walk's last layer is zero but for the top cell, per(M) / prod_j
+(d_j - 1)!, where M repeats sign row i k_i times and column j d_j - 1
+times.
 
 Exponent vectors are plain tuples of non-negative ints, one entry per
 variable.
@@ -51,12 +47,12 @@ from .errors import UnsupportedSizeError
 Exponents = tuple[int, ...]
 
 # Largest ring prod(dims) accepted, checked before any work.  At 2^20
-# cells on a 2-CPU Xeon host, a critical verdict's top sum takes 0.4 s on
-# (32,)^4 and (4,)^10, 0.5 s on (101,)^3, 1.4 s on (1024, 1024), 1.5 s on
-# (2,)^20 (20 rows) and 1.6 s on (2^20,), the slowest verdicts admitted.
-# An underdetermined one's layer walk takes 0.2 s on (2,)^20, (4,)^10 and
-# (32,)^4, 0.3 s on (101,)^3, 0.8 s on (1024, 1024) (64 primes) and 1.1 s
-# on (2^19, 2) (2^19 steps).
+# cells on a 2-CPU Xeon host, a critical verdict's layer walk takes 0.3 s
+# on (2,)^20 (20 rows), (4,)^10, (16,)^5 and (32,)^4, 0.4 s on (101,)^3,
+# 1.0 s on (1024, 1024) (64 primes) and 1.8 s on (2^19, 2), the slowest
+# verdict admitted: 2^19 steps on a layer of two cells.  (2^20,) has no
+# layer to walk.  An underdetermined verdict takes about as long as a
+# critical one on the same ring.
 MAX_RING_CELLS = 1 << 20
 # A coefficient of a^m in a product of deg signed forms is a signed count
 # of the deg! / prod m_j! words that spell m, so ``_coefficient_bound``, the
@@ -65,8 +61,6 @@ MAX_RING_CELLS = 1 << 20
 # coefficient read back as int64 is exact: the partial sums are not
 # bounded, only the final ones.
 _UINT64_BOUND = 1 << 64
-# Ring points per step of the critical top sum; bounds its temporaries.
-_TOP_BLOCK = 1 << 11
 # Primes below 2^31, largest first, extended as needed; 2^31 - 1 is prime.
 _PRIMES = [(1 << 31) - 1]
 
@@ -287,51 +281,6 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
         x += mod * ((r - x) * pow(mod, -1, q) % q)
         mod *= q
     return x - mod if 2 * x > mod else x
-
-
-def _difference_weights(m: int, q: int) -> list[int]:
-    """(-1)^(m - t) C(m, t) / m! = (-1)^(m - t) / (t! (m - t)!) mod q, t = 0..m, prime q > m."""
-    fact = list(itertools.accumulate(range(1, m + 1), lambda f, t: f * t % q, initial=1))
-    inv = [0] * m + [pow(fact[m], -1, q)]  # inv[t] = 1/t!, filled from t = m down
-    for t in range(m, 0, -1):
-        inv[t - 1] = inv[t] * t % q
-    return [(-1) ** (m - t) * inv[t] * inv[m - t] % q for t in range(m + 1)]
-
-
-def _critical_top(sigma, powers: Sequence[int], dims: Sequence[int]) -> int:
-    """Top coefficient of prod_i (sigma_i . a)^{k_i} when sum k_i = sum (d_j - 1),
-    by the module docstring's sum; checks and size limit as :func:`expand_product`."""
-    rows, powers, dims = _checked(sigma, powers, dims)
-    m = [d - 1 for d in dims]
-    big_n = sum(m)
-    if sum(powers) != big_n:
-        raise ValueError(f"|powers| = {sum(powers)} must equal sum(dims) - n = {big_n}")
-    primes = _primes_over(2 * _multinomial_count(m))
-    p = np.array(primes, dtype=np.int64)[:, None]
-    weights = [np.array([_difference_weights(mj, q) for q in primes]) for mj in m]
-    # v^k_i mod p for v = -N..N, one table per row, by square and multiply
-    values, tables = np.arange(-big_n, big_n + 1) % p, []
-    for k in powers:
-        base, table = values, np.ones_like(values)
-        while k:
-            if k & 1:
-                table = table * base % p
-            base, k = base * base % p, k >> 1
-        tables.append(table)
-    # Residues are below 2^31, so each product is below 2^62 and a block
-    # sum of _TOP_BLOCK = 2^11 residues below 2^42: int64 never overflows.
-    total = np.zeros(len(primes), dtype=np.int64)
-    cells = math.prod(dims)
-    for start in range(0, cells, _TOP_BLOCK):
-        t = np.unravel_index(np.arange(start, min(start + _TOP_BLOCK, cells)), dims)
-        term = weights[0].take(t[0], axis=1)
-        for w, tj in zip(weights[1:], t[1:]):
-            term = term * w.take(tj, axis=1) % p
-        for row, table in zip(rows, tables):  # table column v + N holds v^k_i
-            v = sum((tj if s > 0 else -tj for s, tj in zip(row, t)), big_n)
-            term = term * table.take(v, axis=1) % p
-        total = (total + term.sum(axis=1)) % p[:, 0]
-    return _crt(total.tolist(), primes)
 
 
 def _multinomial(k: int, parts: Sequence[int]) -> int:

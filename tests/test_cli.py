@@ -511,8 +511,8 @@ class TestExitCodes:
 
     def test_oversized_critical_ring_is_1(self, capsys, tmp_path, monkeypatch):
         # (12,)^6 again, now with 66 equations for the 66 unknowns: verdict
-        # takes the critical top sum, which must refuse before it reads the
-        # rows or walks the ring
+        # reads the top coefficient from the expansion, which must refuse
+        # before it reads the rows or walks the ring
         def fail(*args, **kwargs):
             raise AssertionError("read the rows or walked the ring before checking its size")
 
@@ -530,6 +530,22 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert "2985984 cells" in err
+
+    def test_oversized_overdetermined_ring_is_0(self, capsys, tmp_path, monkeypatch):
+        # (12,)^6 with 70 equations for the 66 unknowns: the sign product is
+        # 0 by its degree alone, so verdict answers without the ring
+        def no_rows(sigma):
+            raise AssertionError("read the sign rows of an overdetermined spec")
+
+        monkeypatch.setattr(truncpoly, "_sign_rows", no_rows)
+        cons = [{"subset": s, "codim": 14} for s in ([], [1], [2], [3], [1, 2])]
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"dims": [12] * 6, "constraints": cons}))
+        rc, out, err = run(capsys, ["verdict", str(path)])
+        assert rc == 0
+        assert err == ""
+        assert "kind: generically-empty" in out
+        assert "equations: 70" in out
 
     def test_oversized_state_is_1(self, capsys, tmp_path, monkeypatch):
         # the header alone asks for a 10^6 x 10^6 matrix; refuse before allocating

@@ -127,13 +127,17 @@ class TestVerdict:
             product_vanishes=True,
         )
 
-    def test_critical_skips_the_expansion(self, monkeypatch):
-        # the critical product is its top monomial alone, and the top sum
-        # gives that coefficient unexpanded
-        def fail(*args):
-            raise AssertionError("expand_product called")
+    def test_critical_expands_once(self, monkeypatch):
+        # the critical product is its top monomial alone, read from one
+        # expansion
+        calls = []
+        expand_product = solvability.truncpoly.expand_product
 
-        monkeypatch.setattr(solvability.truncpoly, "expand_product", fail)
+        def counted(*args):
+            calls.append(args)
+            return expand_product(*args)
+
+        monkeypatch.setattr(solvability.truncpoly, "expand_product", counted)
         spec = problem_spec((3, 4, 2), [({1}, 2), ({2}, 1), ((), 2), ({3}, 1)])
         assert verdict(spec) == Verdict(
             kind=EXISTS_NONZERO,
@@ -145,6 +149,7 @@ class TestVerdict:
             top_coefficient=4,
             product_vanishes=False,
         )
+        assert len(calls) == 1
 
     def test_critical_top_coefficient(self):
         v = verdict(problem_spec((3, 3), [((), 4)]))

@@ -316,26 +316,64 @@ class TestQubitBridge:
 
 
 def top_bound(dims):
-    """N! / prod (d_j - 1)!, the bound on |top| the top sum reconstructs within."""
+    """N! / prod (d_j - 1)!, which bounds |top| on the ring of ``dims``."""
     m = [d - 1 for d in dims]
     return math.factorial(sum(m)) // math.prod(math.factorial(mj) for mj in m)
 
 
+def permanent_top(rows, powers, dims):
+    """per(M) / prod m_j!, m_j = d_j - 1, where M repeats row i powers[i]
+    times and column j m_j times: the top coefficient of a critical
+    product, by signmat.permanent and without the layer walk."""
+    m = [d - 1 for d in dims]
+    cols = [j for j, mj in enumerate(m) for _ in range(mj)]
+    big_m = [[row[j] for j in cols] for row, k in zip(rows, powers) for _ in range(k)]
+    per = permanent(sign_matrix(big_m))
+    scale = math.prod(math.factorial(mj) for mj in m)
+    assert per % scale == 0
+    return per // scale
+
+
+def random_critical(rng, max_n, max_d, max_r):
+    """Random rows and powers with sum(powers) = sum(dims) - n."""
+    n = rng.randint(1, max_n)
+    dims = tuple(rng.randint(2, max_d) for _ in range(n))
+    rows = random_rows(rng, rng.randint(1, max_r), n)
+    powers = [0] * len(rows)
+    for _ in range(sum(d - 1 for d in dims)):
+        powers[rng.randrange(len(rows))] += 1
+    return rows, powers, dims
+
+
 class TestCriticalTop:
+    """A critical product (sum k_i = sum (d_j - 1)) is its top monomial
+    alone; verdicts read its coefficient from the layer walk's top cell."""
+
     def test_matches_expansion_and_direct_coefficient(self):
         rng = random.Random(4242)
         for _ in range(120):
-            n = rng.randint(1, 6)
-            dims = tuple(rng.randint(2, 5) for _ in range(n))
-            big_n = sum(d - 1 for d in dims)
-            rows = random_rows(rng, rng.randint(1, 4), n)
-            powers = [0] * len(rows)
-            for _ in range(big_n):
-                powers[rng.randrange(len(rows))] += 1
-            top = truncpoly._critical_top(rows, powers, dims)
-            assert top == expand_product(rows, powers, dims).top_coefficient()
+            rows, powers, dims = random_critical(rng, 6, 5, 4)
+            big_n = sum(powers)
+            p = expand_product(rows, powers, dims)
+            top = p.top_coefficient()
+            assert set(p.coeffs) <= {tuple(d - 1 for d in dims)}
             if big_n <= 12:
                 assert top == coefficient_direct(rows, powers, [d - 1 for d in dims])
+            if big_n <= 16:
+                assert top == permanent_top(rows, powers, dims)
+
+    def test_top_is_a_permanent(self):
+        # per(M) / prod m_j! through signmat's Glynn walk, no ring involved;
+        # up to 16 rows of M, where permanent stays in uint64
+        rng = random.Random(5151)
+        checked = 0
+        while checked < 150:
+            rows, powers, dims = random_critical(rng, 6, 6, 5)
+            if sum(powers) > 16:
+                continue
+            top = expand_product(rows, powers, dims).top_coefficient()
+            assert top == permanent_top(rows, powers, dims)
+            checked += 1
 
     @pytest.mark.parametrize("rows", [EX25_ROWS, FIVE_QUBIT_1, FIVE_QUBIT_2])
     def test_ex25_and_five_qubit_coefficients_as_tops(self, rows):
@@ -348,38 +386,31 @@ class TestCriticalTop:
         tops = {}
         for m in itertools.product(*(range(d) for d in dims)):
             if sum(m) == 4:
-                tops[m] = truncpoly._critical_top(sigma, [1] * 4, [e + 1 for e in m])
-                assert tops[m] == p.coefficient(m)
+                tops[m] = expand_product(sigma, [1] * 4, [e + 1 for e in m]).top_coefficient()
+                assert tops[m] == p.coefficient(m) == coefficient_direct(sigma, [1] * 4, m)
         nonzero = {m: c for m, c in tops.items() if c}
         assert nonzero == ({(1, 1, 0, 1, 1): 8} if rows is FIVE_QUBIT_2 else {})
 
-    def test_all_plus_rows_reach_the_bound(self, monkeypatch):
+    def test_all_plus_rows_reach_the_bound(self, primes_taken):
         # (sum_j a_j)^35 on (8,)^5: the top is the multinomial B itself, near
-        # 2^71, so three primes are taken; negated rows give -B
-        taken = []
-        primes_over = truncpoly._primes_over
-
-        def spy(bound):
-            taken.append((bound, primes_over(bound)))
-            return taken[-1][1]
-
-        monkeypatch.setattr(truncpoly, "_primes_over", spy)
+        # 2^71, and B is also the largest multinomial on the ring, so the walk
+        # needs 2^64 and one prime; negated rows give -B
         dims = (8,) * 5
         bound = top_bound(dims)
         assert 2**71 < bound < 2**72
+        assert truncpoly._coefficient_bound(35, dims) == bound
         for sign in (1, -1):
             rows = [[sign] * 5] * 3
-            assert truncpoly._critical_top(rows, [12, 12, 11], dims) == sign * bound
-        for asked, primes in taken:
-            assert asked == 2 * bound
-            assert len(primes) == 3
-            assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+            assert expand_product(rows, [12, 12, 11], dims).top_coefficient() == sign * bound
+        assert [len(primes) for primes in primes_taken] == [1, 1]
+        for primes in primes_taken:
+            assert (1 << 64) * math.prod(primes) > 2 * bound >= 1 << 64
 
     def test_two_parties_past_2_to_300(self):
         dims = (160, 160)
         assert top_bound(dims) > 2**300
         rows, powers = [[1, 1], [1, -1]], [300, 18]
-        top = truncpoly._critical_top(rows, powers, dims)
+        top = expand_product(rows, powers, dims).top_coefficient()
         assert top == coefficient_direct(rows, powers, (159, 159))
         assert -(2**265) < top < -(2**264)
 
@@ -393,7 +424,3 @@ class TestCriticalTop:
         for q in primes:
             assert q < 2**31 and q % 2
             assert np.all(q % odd)
-
-    def test_power_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            truncpoly._critical_top([[1, 1]], [3], (2, 2))
