@@ -3,14 +3,14 @@
 Independent of the exact decision engine: membership of the conjugated
 product vector in each prescribed subspace is recast as a smooth real
 least-squares problem over the product of unit spheres, attacked by
-multi-start damped Gauss-Newton (Levenberg-Marquardt) on the stacked
-real and imaginary parts of the basis inner products.  All restarts
-draw their starts, in restart order, from one Philox stream keyed by
-(seed, 1): restart i (from 0) takes the i-th row of standard normals in
-the real parameter layout, so its start depends only on (seed, i);
-random_instance draws from (seed, 0).  Restarts run as batches of rows,
-and every row's arithmetic is its own, so a restart ends at the same
-point alone or in any batch: results do not depend on batching.
+multi-start damped Gauss-Newton (Levenberg-Marquardt) on one packed
+array per batch of restarts, with normal equations from complex Gram
+matrices (``_Problem``).  All restarts draw their starts, in restart
+order, from one Philox stream keyed by (seed, 1): restart i (from 0)
+takes the i-th row of standard normals, so its start depends only on
+(seed, i); random_instance draws from (seed, 0).  Every row's arithmetic
+is its own, so a restart ends at the same point alone or in any batch:
+results do not depend on batching.
 
 A small residual certifies a solution (membership can be checked
 directly); a large residual floor across many restarts is *evidence* of
@@ -34,11 +34,11 @@ _PHASE_EPS = 1e-12
 # d x codim random basis is allocated; a d x d complex matrix at 4096
 # takes 256 MB.  Checked before allocation.
 MAX_SPACE_DIM = 4096
-# Largest B * (2 * codim + p) * p float64 entries, for the widest
-# constraint's Jacobian block and the B normal matrices of one batch of
-# B restarts with p real parameters (1 MiB).  Restarts run in batches
-# of at most this size, checked before allocation; a restart whose own
-# share exceeds it runs alone.
+# Largest B * (2k + p) * p float64 entries (1 MiB) one batch of B restarts
+# with p real parameters counts, k the widest codim.  Per start the kernel
+# holds A (k x Σd complex, kp entries), G (Σd x Σd complex, p²/2) and JᵀJ
+# (p x p), between 1/2 and 3/2 of that count.  Batches are split to fit,
+# checked before allocation; a restart whose own share exceeds it runs alone.
 MAX_BATCH_ENTRIES = 1 << 17
 # Largest restarts * entries_per_start one solve runs, checked before any
 # draw.  On a 2-CPU Xeon host a restart costs 0.7 to 2.7 us per entry for
@@ -49,10 +49,10 @@ MAX_RESTART_ENTRIES = 1 << 23
 # Largest restarts * max_iterations * sum of codims * prod(dims) one solve
 # runs, checked before any draw: an LM iteration contracts each complement
 # basis (codim x prod(dims) entries) once per party.  At the limit, solves
-# took 0.3 to 1.1 s on (16,16) to (64,64) and on (4,)^4, 2.7 to 5.6 s on
-# (2,)^8 and (2,)^10, and up to 13.3 s on (2,)^12 (2-CPU Xeon host, one
-# BLAS thread): qubits have the most parties per dimension.  The largest
-# solves asked: tier-1 7.7e7, benchmark 1.6e6.
+# took 0.3-1.1 s on (16,16) to (64,64) and (4,)^4, 6.3-8.3 s on (2,)^8 and
+# (2,)^10, and 11 s (critical) to 33 s (codim 13, stagnating) on (2,)^12
+# (2-CPU Xeon host, one BLAS thread): qubits have the most parties per
+# dimension.  The largest solves asked: tier-1 7.7e7, benchmark 1.6e6.
 MAX_RESTART_WORK = 1 << 27
 # What every solve passes to _minimize_batch and _dedupe: the LM steps a
 # restart takes at most, the cost above which a stalled restart retires as
@@ -241,20 +241,23 @@ class SolveReport:
 
 
 def _entries_per_start(n_params: int, max_codim: int) -> int:
-    """float64 entries one start adds to a constraint's Jacobian block and JᵀJ."""
+    """float64 entries one start counts against MAX_BATCH_ENTRIES."""
     return (2 * max_codim + n_params) * n_params
 
 
 class _Problem:
-    """Residuals and normal equations of B starts at once, in real-ified coordinates.
+    """Residuals and normal equations of B starts at once, on one packed array.
 
-    Factors are held as (B, d_j) complex arrays; parameters are the
-    stacked real and imaginary parts of all factors, party by party.
-    The residual vector stacks Re/Im of every basis inner product plus
-    one norm penalty (|psi_j|^2 - 1) per factor, which pins the scale
-    gauge without moving the zero set off the unit spheres.  Every
-    operation acts on each row alone, so a row's results do not depend
-    on which other rows share its batch.
+    A batch's factors are one (B, Σd) complex array x, party after party;
+    its float view (B, p), p = 2Σd, re and im side by side, is the
+    parameter vector.  The residual stacks Re/Im of every basis inner
+    product plus one norm penalty (|psi_j|^2 - 1) per factor, which pins
+    the scale gauge without moving the zero set off the unit spheres.  A
+    constraint's k inner products are z = M_j φ_j for every party j, φ_j
+    being x_j or its conjugate, and A = [M_1 ... M_n] is their (B, k, Σd)
+    block: the complex Gram G = AᴴA and h = Aᴴz give JᵀJ and Jᵀr.  Every
+    operation acts on each row alone, so a row's results do not depend on
+    which other rows share its batch.
     """
 
     def __init__(self, dims: Sequence[int], constraints: Sequence[SubspaceConstraint]):
@@ -263,22 +266,29 @@ class _Problem:
         if n > 25:
             raise ValueError("at most 25 parties supported")
         live = [c for c in constraints if c.codim]
-        self.constraints = [
-            (
-                tuple((j + 1) in c.subset for j in range(n)),
-                c.complement_basis.conj().reshape((c.codim,) + self.dims),
-            )
-            for c in live
-        ]
         self.max_codim = max((c.codim for c in live), default=0)
-        self.offsets = np.cumsum([0] + [2 * d for d in self.dims])
-        self.n_params = int(self.offsets[-1])
-        # "Z" indexes the batch, "z" the basis rows, a..y the parties
+        self.n_params = 2 * sum(self.dims)
+        self.starts = np.cumsum((0,) + self.dims[:-1])
+        self.parties = [slice(lo, lo + d) for lo, d in zip(self.starts, self.dims)]
+        self.first = np.isin(np.arange(self.n_params // 2), self.starts).astype(complex)
+        self.param_dims = 2 * np.array(self.dims)
+        party = np.repeat(np.arange(n), self.param_dims)
+        self.penalty_mask = 4.0 * (party[:, None] == party[None, :])
+        self.constraints = []
+        for c in live:
+            conj = tuple((j + 1) in c.subset for j in range(n))
+            s = np.repeat([-1.0 if cj else 1.0 for cj in conj], self.dims)
+            # per coordinate, interleaved: (1, -s) turns G into Ĝ, (1, s) h into Jᵀr
+            w_g, w_h = (np.stack([np.ones_like(s), v], axis=1).ravel() for v in (-s, s))
+            t = c.complement_basis.conj().reshape((c.codim,) + self.dims)
+            self.constraints.append((conj, t, w_g, w_h, 1j * np.outer(s, s)))
+        # "Z" indexes the batch, "z" the basis rows, a..y the parties; with
+        # one party, M_1 is the basis itself for every row
         letters = "abcdefghijklmnopqrstuvwxy"[:n]
-        factors = ["Z" + a for a in letters]
+        factors, out = ["Z" + a for a in letters], "->Zz" if n > 1 else "->z"
         self.einsum_full = ",".join(["z" + letters] + factors) + "->Zz"
         self.einsum_partial = [
-            ",".join(["z" + letters] + factors[:j] + factors[j + 1 :]) + "->Zz" + letters[j]
+            ",".join(["z" + letters] + factors[:j] + factors[j + 1 :]) + out + letters[j]
             for j in range(n)
         ]
 
@@ -286,78 +296,70 @@ class _Problem:
     def entries_per_start(self) -> int:
         return _entries_per_start(self.n_params, self.max_codim)
 
-    @staticmethod
-    def _sq_norms(f: np.ndarray) -> np.ndarray:
-        return (f.real**2 + f.imag**2).sum(axis=1)
+    def sq_norms(self, x: np.ndarray) -> np.ndarray:
+        """(B, n) squared norms of the factors."""
+        return np.add.reduceat(np.square(x.view(float)), 2 * self.starts, axis=1)
 
-    @staticmethod
-    def _conjugated(factors, conj):
-        return [f.conj() if c else f for f, c in zip(factors, conj)]
-
-    def renormalize(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for f in factors:
-            norm = np.sqrt(self._sq_norms(f))
-            tiny = norm < 1e-150
-            f = f / np.where(tiny, 1.0, norm)[:, None]
-            f[tiny] = 0.0
-            f[tiny, 0] = 1.0
-            out.append(f)
+    def renormalize(self, x: np.ndarray) -> np.ndarray:
+        """Unit factors; a factor of norm below 1e-150 becomes the first basis vector."""
+        norm = np.sqrt(self.sq_norms(x))
+        tiny = norm < 1e-150
+        out = x.view(float) / np.repeat(np.where(tiny, 1.0, norm), self.param_dims, axis=1)
+        out = out.view(complex)
+        if tiny.any():
+            out = np.where(np.repeat(tiny, self.dims, axis=1), self.first, out)
         return out
 
     def complex_factors(self, x: np.ndarray) -> list[np.ndarray]:
-        """(B, d_j) complex factors of (B, n_params) rows in real parameter layout."""
-        return [
-            x[:, lo : lo + d] + 1j * x[:, lo + d : lo + 2 * d]
-            for lo, d in zip(self.offsets, self.dims)
-        ]
+        """(B, d_j) complex factors of (B, n_params) standard normals in the
+        draw's layout: each party's real parts, then its imaginary parts."""
+        lo = 2 * self.starts
+        return [x[:, a : a + d] + 1j * x[:, a + d : a + 2 * d] for a, d in zip(lo, self.dims)]
 
-    def step(self, factors: Sequence[np.ndarray], delta: np.ndarray) -> list[np.ndarray]:
-        """Renormalized factors + delta, with delta in real parameter layout."""
-        return self.renormalize([f + u for f, u in zip(factors, self.complex_factors(delta))])
+    def step(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Renormalized x + delta, with delta in the parameter layout."""
+        return self.renormalize((x.view(float) + delta).view(complex))
 
-    def cost(self, factors: Sequence[np.ndarray], penalty: bool = True) -> np.ndarray:
+    def _phi(self, x, xc, conj):
+        return [xc[:, p] if c else x[:, p] for p, c in zip(self.parties, conj)]
+
+    def cost(self, x: np.ndarray, penalty: bool = True) -> np.ndarray:
         """Squared residual norm of each row, with or without the norm penalties."""
-        total = np.zeros(len(factors[0]))
-        for conj, t in self.constraints:
-            z = np.einsum(self.einsum_full, t, *self._conjugated(factors, conj))
-            total += self._sq_norms(z)
+        total = np.zeros(len(x))
+        xc = x.conj()
+        for conj, t, *_ in self.constraints:
+            z = np.einsum(self.einsum_full, t, *self._phi(x, xc, conj)).view(float)
+            total += (z * z).sum(axis=1)
         if penalty:
-            for f in factors:
-                total += (self._sq_norms(f) - 1.0) ** 2
+            total += ((self.sq_norms(x) - 1.0) ** 2).sum(axis=1)
         return total
 
-    def normal_equations(self, factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """JᵀJ (B, p, p) and Jᵀr (B, p), accumulated one constraint block at a time."""
-        b, p = len(factors[0]), self.n_params
-        jtj = np.zeros((b, p, p))
-        g = np.zeros((b, p, 1))
-        for conj, t in self.constraints:
-            phi = self._conjugated(factors, conj)
-            z = np.einsum(self.einsum_full, t, *phi)
-            k = z.shape[1]
-            block = np.empty((b, 2 * k, p))
-            for j, (lo, d) in enumerate(zip(self.offsets, self.dims)):
-                m = np.einsum(self.einsum_partial[j], t, *phi[:j], *phi[j + 1 :])
-                sgn = -1.0 if conj[j] else 1.0
-                block[:, :k, lo : lo + d] = m.real
-                block[:, :k, lo + d : lo + 2 * d] = -sgn * m.imag
-                block[:, k:, lo : lo + d] = m.imag
-                block[:, k:, lo + d : lo + 2 * d] = sgn * m.real
-            r = np.concatenate([z.real, z.imag], axis=1)[:, :, None]
-            jt = block.transpose(0, 2, 1)
-            jtj += jt @ block
-            g += jt @ r
-        # norm penalties: one row per factor
-        pen = np.zeros((b, len(self.dims), p))
-        for j, (f, lo, d) in enumerate(zip(factors, self.offsets, self.dims)):
-            pen[:, j, lo : lo + d] = 2.0 * f.real
-            pen[:, j, lo + d : lo + 2 * d] = 2.0 * f.imag
-        r = np.stack([self._sq_norms(f) - 1.0 for f in factors], axis=1)[:, :, None]
-        jt = pen.transpose(0, 2, 1)
-        jtj += jt @ pen
-        g += jt @ r
-        return jtj, g[:, :, 0]
+    def normal_equations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """JᵀJ (B, p, p) and Jᵀr (B, p): 4 x xᵀ within each party for the norm
+        penalties, and per constraint, with s = -1 on conjugated coordinates
+        and +1 elsewhere, Ĝ_ef = (Re G_ef, -s_f Im G_ef) and i s_e s_f Ĝ_ef =
+        (s_e Im G_ef, s_e s_f Re G_ef) on the rows of coordinate e's (re, im)
+        parameters, and (Re h_e, s_e Im h_e) on Jᵀr."""
+        b, size = x.shape
+        xf = x.view(float)
+        jtj = np.einsum("Zi,Zj->Zij", xf, xf)
+        jtj *= self.penalty_mask
+        g = xf * np.repeat(2.0 * (self.sq_norms(x) - 1.0), self.param_dims, axis=1)
+        blocks = jtj.reshape(b, size, 2, 2 * size)
+        xc = x.conj()
+        for conj, t, w_g, w_h, iss in self.constraints:
+            phi = self._phi(x, xc, conj)
+            a = np.empty((b, len(t), size + 1), dtype=complex)
+            for j, p in enumerate(self.parties):
+                a[:, :, p] = np.einsum(self.einsum_partial[j], t, *phi[:j], *phi[j + 1 :])
+            # z = M_1 φ_1 in A's last column, so that one product gives G and h
+            a[:, :, size] = (a[:, :, self.parties[0]] @ phi[0][:, :, None])[:, :, 0]
+            gram = (a.conj().transpose(0, 2, 1)[:, :size] @ a).view(float)
+            g_hat = gram[:, :, : 2 * size] * w_g
+            blocks[:, :, 0] += g_hat
+            blocks[:, :, 1].view(complex)[:] += g_hat.view(complex) * iss
+            g += gram[:, :, 2 * size :].reshape(b, 2 * size) * w_h
+        return jtj, g
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,30 +398,28 @@ def _minimize_batch(
     relative 1e-9 while its cost is above ``reject_threshold``
     (stagnated), or after ``max_iterations`` steps.
     """
-    factors = problem.renormalize(factors)
-    n_starts = len(factors[0])
-    out_factors = [np.empty_like(f) for f in factors]
-    out_reason = np.empty(n_starts, dtype=np.intp)
-    rows = np.arange(n_starts)  # the input row of every live start
-    cost = problem.cost(factors)
-    lam = np.full(n_starts, 1e-3)
+    x = problem.renormalize(np.concatenate(factors, axis=1))
+    out_x, out_reason = np.empty_like(x), np.empty(len(x), dtype=np.intp)
+    rows = np.arange(len(x))  # the input row of every live start
+    cost = problem.cost(x)
+    lam = np.full(len(x), 1e-3)
 
     def retire(mask, reason):
-        nonlocal factors, rows, cost, lam
+        nonlocal x, rows, cost, lam
+        if not mask.any():
+            return
         done = rows[mask]
-        for out, f in zip(out_factors, factors):
-            out[done] = f[mask]
+        out_x[done] = x[mask]
         out_reason[done] = reason
         keep = ~mask
-        factors = [f[keep] for f in factors]
-        rows, cost, lam = rows[keep], cost[keep], lam[keep]
+        x, rows, cost, lam = x[keep], rows[keep], cost[keep], lam[keep]
 
     diag = np.arange(problem.n_params)
     for _ in range(max_iterations):
         retire(cost < 1e-30, _CONVERGED)
         if not rows.size:
             break
-        jtj, g = problem.normal_equations(factors)
+        jtj, g = problem.normal_equations(x)
         flat = np.sqrt((g * g).sum(axis=1)) < 1e-15
         jtj, g = jtj[~flat], g[~flat]
         retire(flat, _FLAT_GRADIENT)
@@ -435,13 +435,12 @@ def _minimize_batch(
             delta, ok = _solve_rows(damped, -g[trying])
             lam[trying[~ok]] *= 10.0
             tried = trying[ok]
-            trial = problem.step([f[tried] for f in factors], delta[ok])
+            trial = problem.step(x[tried], delta[ok])
             trial_cost = problem.cost(trial)
             better = trial_cost < cost[tried]
             won = tried[better]
             rel[won] = (cost[won] - trial_cost[better]) / np.maximum(cost[won], 1e-300)
-            for f, tf in zip(factors, trial):
-                f[won] = tf[better]
+            x[won] = trial[better]
             cost[won] = trial_cost[better]
             lam[won] = np.maximum(lam[won] / 3.0, 1e-14)
             stepped[won] = True
@@ -453,7 +452,8 @@ def _minimize_batch(
         rel = rel[stepped]
         retire((rel < 1e-9) & (cost > reject_threshold), _STAGNATED)
     retire(np.ones(rows.size, dtype=bool), _MAX_ITERATIONS)
-    return out_factors, problem.cost(out_factors, penalty=False), out_reason
+    factors = [out_x[:, p] for p in problem.parties]
+    return factors, problem.cost(out_x, penalty=False), out_reason
 
 
 def count_distinct(solutions: Sequence[ProductVector], tol: float) -> int:

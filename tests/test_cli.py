@@ -11,9 +11,9 @@ import pytest
 import prodvec
 from prodvec import cli, mpstate, signmat, solver, truncpoly
 from prodvec.errors import ParseError
-from prodvec.mpstate import maximally_mixed, write_state
+from prodvec.mpstate import build_separable, maximally_mixed, write_state
 from prodvec.solvability import problem_spec
-from prodvec.solver import random_instance
+from prodvec.solver import product_vector, random_instance
 
 EX25_DOC = {
     "dims": [2, 2, 4],
@@ -231,20 +231,50 @@ class TestCommands:
     @pytest.mark.parametrize(
         "n, samples, seed, digest",
         [
-            (6, 2000, 1, "2d3c49c33e745a66c9c838984453ccf2d5b4b8d532bf0890499b736c495b1a66"),
-            (8, 1000, 2, "a1d746c22fad98e9234a98d247a1439aff495ca119f6304b4485a53045b2a82d"),
-            (10, 500, 3, "bc1ed9e5c481f656265ec051448ec93eeaedd1e5d9da355603bd0e833c07f648"),
-            (13, 300, 4, "9b131a021da60be420b21654d52714a11a67439c01fd3d72063327c03ad2d3f0"),
+            (6, 2000, 1, "7fc6086e0995dab8a36ff0f1df4a7a72ce192c1b18b204a79bfcd8659bc21107"),
+            (8, 1000, 2, "a6f0c32de73d99104bf7d5bfc41f667ac16adfed39872b1a3678f1e8e4bbedd7"),
+            (10, 500, 3, "199bdc7ffa25398c3731b8274c0c1b87bd9f082e8a336255e29987d9bda026f1"),
+            (13, 300, 4, "1334e87e0d651f9939f2fff80d968229d9d694fcdaf4708ce851800c850a3125"),
         ],
+        ids=["n6", "n8", "n10", "n13"],
     )
     def test_survey_reports_are_pinned(self, capsys, n, samples, seed, digest):
         # the benchmark's survey shapes and n = 13, against the bytes of the
-        # reports before the stacked Glynn walk: no kernel change may move
-        # a histogram
+        # reports before the stacked Glynn walk under schema /7 (only the
+        # schema line differs from /6): no kernel change may move a histogram
         argv = ["survey", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
         rc, out, _ = run(capsys, argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_solver_reports_are_pinned(self, capsys, tmp_path):
+        # the bytes of one seeded solve and one seeded edge report under the
+        # packed, Gram-based solver (schema /7); a change to the solver's
+        # arithmetic moves their last digits and has to bump cli.SCHEMA.
+        # Printed floats come from numpy's BLAS and LAPACK kernels, so
+        # another numpy build may print other last digits.
+        crit = tmp_path / "crit.json"
+        crit.write_text(json.dumps({"dims": [2, 2], "constraints": [{"subset": [], "codim": 2}]}))
+        rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+        vectors = [
+            product_vector([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
+            for _ in range(4)
+        ]
+        state = tmp_path / "sep.state"
+        state.write_text(write_state(build_separable(vectors, [0.25] * 4)))
+        for argv, digest in (
+            (
+                ["solve", str(crit), "--seed", "9", "--restarts", "60"],
+                "b5e9f565e4294d6467f6bb464aa93bbe24a5ad47a98aac19bcd5ca935c44c4c9",
+            ),
+            (
+                ["edge", str(state), "--seed", "5", "--restarts", "40"],
+                "b79842d68919f2afa41f5d2942c2058aa2280f3faf912f85f93d4780020aca24",
+            ),
+        ):
+            rc, out, _ = run(capsys, argv)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_edge_default_tol_is_the_rank_cut(self, capsys, tmp_path):
         path = tmp_path / "mixed.state"

@@ -380,6 +380,142 @@ class TestSolve:
             assert report.residual_floor <= sol.residual
 
 
+def real_block_normal_equations(dims, constraints, factors):
+    """JᵀJ, Jᵀr and cost of (B, d_j) factor stacks, assembled as the solver
+    did before its complex Gram form: parameters are each party's real parts
+    then its imaginary parts, and every constraint stacks a (B, 2k, p) real
+    Jacobian block of its partial contractions."""
+    n, b = len(dims), len(factors[0])
+    offsets = np.cumsum([0] + [2 * d for d in dims])
+    p = int(offsets[-1])
+    letters = "abcdefghijklmnopqrstuvwxy"[:n]
+    ops = ["Z" + a for a in letters]
+    jtj, g, cost = np.zeros((b, p, p)), np.zeros((b, p, 1)), np.zeros(b)
+    for c in constraints:
+        if not c.codim:
+            continue
+        t = c.complement_basis.conj().reshape((c.codim,) + tuple(dims))
+        conj = [(j + 1) in c.subset for j in range(n)]
+        phi = [f.conj() if cj else f for f, cj in zip(factors, conj)]
+        z = np.einsum(",".join(["z" + letters] + ops) + "->Zz", t, *phi)
+        k = c.codim
+        block = np.empty((b, 2 * k, p))
+        for j, (lo, d) in enumerate(zip(offsets, dims)):
+            # the batch-wide ones operand keeps one party's contraction batched
+            spec = ",".join(["z" + letters] + ops[:j] + ops[j + 1 :] + ["Z"])
+            m = np.einsum(spec + "->Zz" + letters[j], t, *phi[:j], *phi[j + 1 :], np.ones(b))
+            sgn = -1.0 if conj[j] else 1.0
+            block[:, :k, lo : lo + d] = m.real
+            block[:, :k, lo + d : lo + 2 * d] = -sgn * m.imag
+            block[:, k:, lo : lo + d] = m.imag
+            block[:, k:, lo + d : lo + 2 * d] = sgn * m.real
+        r = np.concatenate([z.real, z.imag], axis=1)[:, :, None]
+        jtj += block.transpose(0, 2, 1) @ block
+        g += block.transpose(0, 2, 1) @ r
+        cost += (np.abs(z) ** 2).sum(axis=1)
+    pen = np.zeros((b, n, p))
+    for j, (f, lo, d) in enumerate(zip(factors, offsets, dims)):
+        pen[:, j, lo : lo + d] = 2.0 * f.real
+        pen[:, j, lo + d : lo + 2 * d] = 2.0 * f.imag
+    r = np.stack([(np.abs(f) ** 2).sum(axis=1) - 1.0 for f in factors], axis=1)
+    jtj += pen.transpose(0, 2, 1) @ pen
+    g += pen.transpose(0, 2, 1) @ r[:, :, None]
+    return jtj, g[:, :, 0], cost + (r**2).sum(axis=1)
+
+
+def block_to_packed(dims):
+    """The packed parameter index of each block-layout index."""
+    out, start = [], 0
+    for d in dims:
+        out += [2 * (start + i) for i in range(d)] + [2 * (start + i) + 1 for i in range(d)]
+        start += d
+    return np.array(out)
+
+
+def residual_vector(dims, constraints, xf):
+    """Re/Im of every basis inner product and every |f_j|^2 - 1 of one
+    parameter row, from full product vectors."""
+    x, out, lo = xf.view(complex), [], 0
+    factors = []
+    for d in dims:
+        factors.append(x[lo : lo + d])
+        lo += d
+    for c in constraints:
+        w = np.ones(1, dtype=complex)
+        for j, f in enumerate(factors):
+            w = np.kron(w, f.conj() if (j + 1) in c.subset else f)
+        z = c.complement_basis.conj() @ w
+        out += [z.real, z.imag]
+    out.append(np.array([np.vdot(f, f).real - 1.0 for f in factors]))
+    return np.concatenate(out)
+
+
+# n = 1 plain and conjugated; a repeated subset with its complement and a
+# codim-0 constraint; a mixed (2,2,2); and an all-vacuous problem
+NORMAL_SHAPES = [
+    ((3,), [((), 2)]),
+    ((4,), [({1}, 1), ((), 1)]),
+    ((2, 3, 2), [({1}, 2), ({1}, 1), ({2, 3}, 2), ({2}, 0)]),
+    ((2, 2, 2), [({1}, 1), ({2, 3}, 1), ((), 1)]),
+    ((3, 2), [({1, 2}, 3), ({2}, 1)]),
+    ((2, 3), [((), 0), ({1}, 0)]),
+]
+
+
+class TestNormalEquations:
+    @staticmethod
+    def instance(dims, cons, seed):
+        constraints = random_instance(problem_spec(dims, cons), seed)
+        rng = rng_for(seed)
+        factors = [rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d)) for d in dims]
+        return constraints, factors, solver._Problem(dims, constraints)
+
+    @pytest.mark.parametrize("dims,cons", NORMAL_SHAPES)
+    def test_matches_real_block_oracle(self, dims, cons):
+        for seed in (61, 62, 63):
+            constraints, factors, problem = self.instance(dims, cons, seed)
+            x = np.concatenate(factors, axis=1)
+            jtj, g = problem.normal_equations(x)
+            ref_jtj, ref_g, ref_cost = real_block_normal_equations(dims, constraints, factors)
+            order = block_to_packed(dims)
+            scale = np.abs(ref_jtj).max()
+            assert np.abs(jtj[:, order[:, None], order[None, :]] - ref_jtj).max() <= 1e-12 * scale
+            assert np.abs(g[:, order] - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+            assert np.abs(problem.cost(x) - ref_cost).max() <= 1e-12 * ref_cost.max()
+            assert np.abs(jtj - jtj.transpose(0, 2, 1)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dims,cons", NORMAL_SHAPES)
+    def test_matches_central_differences(self, dims, cons):
+        constraints, factors, problem = self.instance(dims, cons, 64)
+        xf = np.concatenate(factors, axis=1)[0].view(float)
+
+        def res(y):
+            return residual_vector(dims, constraints, y)
+
+        h = 1e-6
+        jac = np.stack([(res(xf + h * e) - res(xf - h * e)) / (2 * h) for e in np.eye(len(xf))], axis=1)
+        jtj, g = problem.normal_equations(xf.view(complex)[None])
+        r = res(xf)
+        assert np.abs(jtj[0] - jac.T @ jac).max() <= 1e-7 * np.abs(jtj).max()
+        assert np.abs(g[0] - jac.T @ r).max() <= 1e-7 * np.abs(g).max()
+
+    def test_vanished_factor_becomes_first_basis_vector(self):
+        problem = solver._Problem((2, 3), [])
+        x = np.array([[1 + 1j, 2, 0, 0, 0], [0, 0, 3, 4j, 0]])
+        expected = np.array([[(1 + 1j) / 6**0.5, 2 / 6**0.5, 1, 0, 0], [1, 0, 0.6, 0.8j, 0]])
+        assert np.allclose(problem.renormalize(x), expected, rtol=0, atol=1e-15)
+
+    def test_one_party_solves(self):
+        dims = (3,)
+        constraints = random_instance(problem_spec(dims, [((), 1)]), 65)
+        report = solve(constraints, dims, SolverConfig(restarts=20, seed=65))
+        # one vector per projective class in a 2-dimensional subspace: a
+        # continuum, of which the restarts find distinct points
+        assert report.solutions
+        for sol in report.solutions:
+            assert residual(sol.vector, constraints) < 1e-14
+
+
 # the (3,3)/4 critical, a mixed (2,2,2) and an overdetermined (2,2,2) shape
 BATCH_SHAPES = [
     ((3, 3), [((), 4)]),
