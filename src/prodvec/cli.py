@@ -41,7 +41,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/7"
+SCHEMA = "prodvec-report/8"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
 # draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 19 to 23 ns
 # at n >= 10 and 34 to 45 ns at n <= 2, each chunk tallied by np.unique;

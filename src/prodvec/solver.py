@@ -5,12 +5,13 @@ product vector in each prescribed subspace is recast as a smooth real
 least-squares problem over the product of unit spheres, attacked by
 multi-start damped Gauss-Newton (Levenberg-Marquardt) on one packed
 array per batch of restarts, with normal equations from complex Gram
-matrices (``_Problem``).  All restarts draw their starts, in restart
-order, from one Philox stream keyed by (seed, 1): restart i (from 0)
-takes the i-th row of standard normals, so its start depends only on
-(seed, i); random_instance draws from (seed, 0).  Every row's arithmetic
-is its own, so a restart ends at the same point alone or in any batch:
-results do not depend on batching.
+matrices (``_Problem``) and basis contractions taken one party at a time
+as stacked matrix-vector products (``_contract``).  All restarts draw
+their starts, in restart order, from one Philox stream keyed by (seed,
+1): restart i (from 0) takes the i-th row of standard normals, so its
+start depends only on (seed, i); random_instance draws from (seed, 0).
+Every row's arithmetic is its own, so a restart ends at the same point
+alone or in any batch: results do not depend on batching.
 
 A small residual certifies a solution (membership can be checked
 directly); a large residual floor across many restarts is *evidence* of
@@ -47,12 +48,13 @@ MAX_BATCH_ENTRIES = 1 << 17
 # dimension; MAX_RESTART_WORK does.
 MAX_RESTART_ENTRIES = 1 << 23
 # Largest restarts * max_iterations * sum of codims * prod(dims) one solve
-# runs, checked before any draw: an LM iteration contracts each complement
-# basis (codim x prod(dims) entries) once per party.  At the limit, solves
-# took 0.3-1.1 s on (16,16) to (64,64) and (4,)^4, 6.3-8.3 s on (2,)^8 and
-# (2,)^10, and 11 s (critical) to 33 s (codim 13, stagnating) on (2,)^12
-# (2-CPU Xeon host, one BLAS thread): qubits have the most parties per
-# dimension.  The largest solves asked: tier-1 7.7e7, benchmark 1.6e6.
+# runs, checked before any draw.  The unit is one pass over a complement
+# basis (codim x prod(dims) entries); an LM iteration makes one per party
+# and per λ try, a factor the unit omits.  At the limit (one constraint on
+# {1} of codim Σ(d_j - 1), seed 1) solves took 0.5-0.9 s on (16,16),
+# (64,64), (4,)^4 and (8,8,8), 1.3-1.5 s on (2,)^8 to (2,)^12, and 2.9 s on
+# (2,)^12 at codim 13, 20 of 21 restarts stagnating (2-CPU Xeon host, one
+# BLAS thread).  The largest solves asked: tier-1 7.7e7, benchmark 1.6e6.
 MAX_RESTART_WORK = 1 << 27
 # What every solve passes to _minimize_batch and _dedupe: the LM steps a
 # restart takes at most, the cost above which a stalled restart retires as
@@ -255,16 +257,17 @@ class _Problem:
     the scale gauge without moving the zero set off the unit spheres.  A
     constraint's k inner products are z = M_j φ_j for every party j, φ_j
     being x_j or its conjugate, and A = [M_1 ... M_n] is their (B, k, Σd)
-    block: the complex Gram G = AᴴA and h = Aᴴz give JᵀJ and Jᵀr.  Every
-    operation acts on each row alone, so a row's results do not depend on
-    which other rows share its batch.
+    block: the complex Gram G = AᴴA and h = Aᴴz give JᵀJ and Jᵀr.  The
+    conjugated basis t, (k, d_1, ..., d_n), meets the factors one party at
+    a time from its last axis (``_contract``): every party for z, and for
+    M_j every other party with j's axis moved next to k's, about k Πd
+    multiplies per row each.  Every operation acts on each row alone, so a
+    row's results do not depend on which other rows share its batch.
     """
 
     def __init__(self, dims: Sequence[int], constraints: Sequence[SubspaceConstraint]):
         self.dims = tuple(int(d) for d in dims)
         n = len(self.dims)
-        if n > 25:
-            raise ValueError("at most 25 parties supported")
         live = [c for c in constraints if c.codim]
         self.max_codim = max((c.codim for c in live), default=0)
         self.n_params = 2 * sum(self.dims)
@@ -281,16 +284,9 @@ class _Problem:
             # per coordinate, interleaved: (1, -s) turns G into Ĝ, (1, s) h into Jᵀr
             w_g, w_h = (np.stack([np.ones_like(s), v], axis=1).ravel() for v in (-s, s))
             t = c.complement_basis.conj().reshape((c.codim,) + self.dims)
-            self.constraints.append((conj, t, w_g, w_h, 1j * np.outer(s, s)))
-        # "Z" indexes the batch, "z" the basis rows, a..y the parties; with
-        # one party, M_1 is the basis itself for every row
-        letters = "abcdefghijklmnopqrstuvwxy"[:n]
-        factors, out = ["Z" + a for a in letters], "->Zz" if n > 1 else "->z"
-        self.einsum_full = ",".join(["z" + letters] + factors) + "->Zz"
-        self.einsum_partial = [
-            ",".join(["z" + letters] + factors[:j] + factors[j + 1 :]) + out + letters[j]
-            for j in range(n)
-        ]
+            # views of t with party j's axis next to k's; moved[0] is t
+            moved = [np.moveaxis(t, 1 + j, 1) for j in range(n)]
+            self.constraints.append((conj, moved, w_g, w_h, 1j * np.outer(s, s)))
 
     @property
     def entries_per_start(self) -> int:
@@ -321,14 +317,14 @@ class _Problem:
         return self.renormalize((x.view(float) + delta).view(complex))
 
     def _phi(self, x, xc, conj):
-        return [xc[:, p] if c else x[:, p] for p, c in zip(self.parties, conj)]
+        return [xc[:, p, None] if c else x[:, p, None] for p, c in zip(self.parties, conj)]
 
     def cost(self, x: np.ndarray, penalty: bool = True) -> np.ndarray:
         """Squared residual norm of each row, with or without the norm penalties."""
         total = np.zeros(len(x))
         xc = x.conj()
-        for conj, t, *_ in self.constraints:
-            z = np.einsum(self.einsum_full, t, *self._phi(x, xc, conj)).view(float)
+        for conj, moved, *_ in self.constraints:
+            z = _contract(moved[0], self._phi(x, xc, conj)).view(float)
             total += (z * z).sum(axis=1)
         if penalty:
             total += ((self.sq_norms(x) - 1.0) ** 2).sum(axis=1)
@@ -347,19 +343,30 @@ class _Problem:
         g = xf * np.repeat(2.0 * (self.sq_norms(x) - 1.0), self.param_dims, axis=1)
         blocks = jtj.reshape(b, size, 2, 2 * size)
         xc = x.conj()
-        for conj, t, w_g, w_h, iss in self.constraints:
+        for conj, moved, w_g, w_h, iss in self.constraints:
             phi = self._phi(x, xc, conj)
-            a = np.empty((b, len(t), size + 1), dtype=complex)
-            for j, p in enumerate(self.parties):
-                a[:, :, p] = np.einsum(self.einsum_partial[j], t, *phi[:j], *phi[j + 1 :])
+            a = np.empty((b, len(moved[0]), size + 1), dtype=complex)
+            for j, (p, t) in enumerate(zip(self.parties, moved)):
+                a[:, :, p] = _contract(t, phi[:j] + phi[j + 1 :])
             # z = M_1 φ_1 in A's last column, so that one product gives G and h
-            a[:, :, size] = (a[:, :, self.parties[0]] @ phi[0][:, :, None])[:, :, 0]
+            a[:, :, size] = (a[:, :, self.parties[0]] @ phi[0])[:, :, 0]
             gram = (a.conj().transpose(0, 2, 1)[:, :size] @ a).view(float)
             g_hat = gram[:, :, : 2 * size] * w_g
             blocks[:, :, 0] += g_hat
             blocks[:, :, 1].view(complex)[:] += g_hat.view(complex) * iss
             g += gram[:, :, 2 * size :].reshape(b, 2 * size) * w_h
         return jtj, g
+
+
+def _contract(t: np.ndarray, phi: Sequence[np.ndarray]) -> np.ndarray:
+    """Σ over t's last len(phi) axes against the (B, d, 1) columns phi, last
+    axis first: one stacked matrix-vector product per party, the first on t
+    itself, each row's product its own.  Returns (B, *t's other axes), with
+    B = 1 when phi is empty."""
+    y = t[None]
+    for f in reversed(phi):
+        y = y.reshape(len(y), -1, f.shape[1]) @ f
+    return y.reshape(len(y), *t.shape[: t.ndim - len(phi)])
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

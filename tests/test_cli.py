@@ -231,17 +231,18 @@ class TestCommands:
     @pytest.mark.parametrize(
         "n, samples, seed, digest",
         [
-            (6, 2000, 1, "7fc6086e0995dab8a36ff0f1df4a7a72ce192c1b18b204a79bfcd8659bc21107"),
-            (8, 1000, 2, "a6f0c32de73d99104bf7d5bfc41f667ac16adfed39872b1a3678f1e8e4bbedd7"),
-            (10, 500, 3, "199bdc7ffa25398c3731b8274c0c1b87bd9f082e8a336255e29987d9bda026f1"),
-            (13, 300, 4, "1334e87e0d651f9939f2fff80d968229d9d694fcdaf4708ce851800c850a3125"),
+            (6, 2000, 1, "da8e476de6b99fa55654da39ef81b0baa4e9019b635b7ed21c8b867eff40253f"),
+            (8, 1000, 2, "fdf4ae363d9a0561e641586d86ef3e8e6185a7221a9fda49d9a99f97d37ed0ae"),
+            (10, 500, 3, "e43006e696e994e2b8ccf17f3a139064455d0264f490188ff9c3e39dd8dc92c4"),
+            (13, 300, 4, "fb85f9d2ffaecf501df63328070f66145d91bbb5b4a225b64b2c16f40ed9ebbc"),
         ],
         ids=["n6", "n8", "n10", "n13"],
     )
     def test_survey_reports_are_pinned(self, capsys, n, samples, seed, digest):
         # the benchmark's survey shapes and n = 13, against the bytes of the
-        # reports before the stacked Glynn walk under schema /7 (only the
-        # schema line differs from /6): no kernel change may move a histogram
+        # reports before the stacked Glynn walk under schema /8 (only the
+        # schema line differs from /6 and /7): no kernel change may move a
+        # histogram
         argv = ["survey", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
         rc, out, _ = run(capsys, argv)
         assert rc == 0
@@ -249,8 +250,9 @@ class TestCommands:
 
     def test_solver_reports_are_pinned(self, capsys, tmp_path):
         # the bytes of one seeded solve and one seeded edge report under the
-        # packed, Gram-based solver (schema /7); a change to the solver's
-        # arithmetic moves their last digits and has to bump cli.SCHEMA.
+        # one-party-at-a-time contractions (schema /8); a change to the
+        # solver's arithmetic moves their last digits and has to bump
+        # cli.SCHEMA.
         # Printed floats come from numpy's BLAS and LAPACK kernels, so
         # another numpy build may print other last digits.
         crit = tmp_path / "crit.json"
@@ -265,11 +267,11 @@ class TestCommands:
         for argv, digest in (
             (
                 ["solve", str(crit), "--seed", "9", "--restarts", "60"],
-                "b5e9f565e4294d6467f6bb464aa93bbe24a5ad47a98aac19bcd5ca935c44c4c9",
+                "a55afb361d2cd968ce491a3610d2cc9c3d48526cc9cba6df3ec3505122cf8ea1",
             ),
             (
                 ["edge", str(state), "--seed", "5", "--restarts", "40"],
-                "b79842d68919f2afa41f5d2942c2058aa2280f3faf912f85f93d4780020aca24",
+                "14774f392d2d015532bd2360de679a73535bb33c11d196f3baabfc9466fc4cfb",
             ),
         ):
             rc, out, _ = run(capsys, argv)

@@ -451,7 +451,9 @@ def residual_vector(dims, constraints, xf):
 
 
 # n = 1 plain and conjugated; a repeated subset with its complement and a
-# codim-0 constraint; a mixed (2,2,2); and an all-vacuous problem
+# codim-0 constraint; a mixed (2,2,2); an all-vacuous problem; and the
+# repeated-subset shape at n = 4 and 5, whose contractions chain three and
+# four steps
 NORMAL_SHAPES = [
     ((3,), [((), 2)]),
     ((4,), [({1}, 1), ((), 1)]),
@@ -459,6 +461,8 @@ NORMAL_SHAPES = [
     ((2, 2, 2), [({1}, 1), ({2, 3}, 1), ((), 1)]),
     ((3, 2), [({1, 2}, 3), ({2}, 1)]),
     ((2, 3), [((), 0), ({1}, 0)]),
+    ((2, 3, 2, 2), [({1, 3}, 2), ({1, 3}, 1), ({2, 4}, 2), ({4}, 0)]),
+    ((2, 2, 3, 2, 2), [({2, 5}, 1), ({2, 5}, 2), ({1, 3, 4}, 1), ((), 0)]),
 ]
 
 
@@ -516,11 +520,13 @@ class TestNormalEquations:
             assert residual(sol.vector, constraints) < 1e-14
 
 
-# the (3,3)/4 critical, a mixed (2,2,2) and an overdetermined (2,2,2) shape
+# the (3,3)/4 critical, a mixed (2,2,2), an overdetermined (2,2,2) shape and
+# a mixed four-party shape, whose contractions broadcast after the first step
 BATCH_SHAPES = [
     ((3, 3), [((), 4)]),
     ((2, 2, 2), [({1}, 1), ({2, 3}, 1), ((), 1)]),
     ((2, 2, 2), [({1}, 2), ({2}, 2)]),
+    ((2, 3, 2, 2), [({1, 3}, 3), ({2}, 2)]),
 ]
 
 
