@@ -23,11 +23,13 @@ import numpy as np
 from .errors import ParseError, UnsupportedSizeError
 from .solvability import Verdict, verdict
 from .solver import (
+    DEFAULT_RESTARTS,
     MAX_SPACE_DIM,
     ProductVector,
     SolveReport,
     SolverConfig,
     SubspaceConstraint,
+    check_restart_bounds,
     philox_stream,
     solve,
     spec_of_constraints,
@@ -155,15 +157,22 @@ def _in_range(w: np.ndarray, tol: float) -> np.ndarray:
     return sv > (tol * top if top > 0 else tol)
 
 
-def rank_profile(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> RankProfile:
+def rank_profile(
+    rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL, restarts: int | None = None
+) -> RankProfile:
     """Ranks and range complements of all canonical partial transposes, and the edge bound.
 
     The rank cut is at ``tol`` (relative to the largest singular value);
     each record carries the singular values on both sides of the cut so
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
+    With ``restarts``, the fewest a solve on these ranges will run, the
+    solver's bounds are checked on the codimensions so far after each
+    rank, so a state whose solve would be refused is refused before its
+    next eigendecomposition and before its complements pile up.
     """
     records = []
+    codims = []
     total = 0
     for s in canonical_subsets(rho.n_parties):
         w, v = np.linalg.eigh(partial_transpose(rho, s).mat)
@@ -181,6 +190,9 @@ def rank_profile(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> RankProfi
             )
         )
         total += rank
+        codims.append(rho.dim - rank)
+        if restarts is not None and any(codims):
+            check_restart_bounds(restarts, rho.dims, codims)
     n = rho.n_parties
     bound = (1 << (n - 1)) * math.prod(rho.dims) - sum(d - 1 for d in rho.dims)
     return RankProfile(tuple(records), total, bound)
@@ -253,12 +265,18 @@ def edge_analysis(
     conjugated product vector must lie in the range of the transposed
     state), runs the exact decision engine on the codimension profile
     and the numerical solver on the explicit ranges, and evaluates the
-    rank-sum inequality.
+    rank-sum inequality.  The solver's bounds are checked after each
+    rank at the fewest restarts the solve can run, so a state whose solve
+    would be refused raises UnsupportedSizeError before the remaining
+    eigendecompositions.
     """
+    config = config or SolverConfig()
     ppt, min_eigs = is_ppt(rho)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
-    profile = rank_profile(rho, rank_tol)
+    # once a codimension is nonzero, the solve runs at least this many restarts
+    least = DEFAULT_RESTARTS if config.restarts is None else config.restarts
+    profile = rank_profile(rho, rank_tol, least)
     constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)

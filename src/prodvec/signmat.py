@@ -7,8 +7,10 @@ the orbit-minimal matrix under the row-major entry order with -1 < +1.
 
 The module also computes the standard equivalence invariants (minus-sign
 counts, parity differences, exact rank, |det|, |per|, scalar row Gram)
-and classifies square matrices with vanishing permanent from candidates
-whose first row is +1 and whose other rows are sorted.
+and classifies the n x n matrices with vanishing permanent, n <= 6: it
+sweeps the candidates whose first row is +1 and whose other rows are
+sorted, and closes each class over its orbit, so every class costs one
+orbit build.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ MAX_UINT64_N = 16
 # before any allocation: 3.4 to 3.7 s on a 2-CPU Xeon host at n = 16.
 BATCH_MAX_TERMS = 1 << 27
 NAIVE_MAX_N = 9
-ADDITION_MAX_N = 8
 CANONICAL_MAX_SIZE = 6
 # invariants' Python-int Bareiss grows about as size^4.4: on a 2-CPU Xeon
 # host, 0.26 s for a random 128 x 128 matrix against 37 s for a random
@@ -49,7 +50,7 @@ INVARIANTS_MAX_SIZE = 128
 # Row sums per row that the Glynn walk steps at once: the last e signs are
 # enumerated into 2^e stack slices of B matrices while 2^e * B fits.
 _STACK_WIDTH = 1 << 13
-# Candidate matrices one classification sweep builds and walks at once.
+# Most candidate matrices one classification sweep builds and walks at once.
 _SWEEP_CHUNK = 1 << 16
 
 
@@ -270,39 +271,6 @@ def permanent_naive(m: SignMatrix) -> int:
     return total
 
 
-def _minor_permanents(a: list[list[int]]) -> dict[tuple[int, int], int]:
-    """per(a[S|T]) for all equal-size row and column bitmasks S, T, size by
-    size, expanding along the lowest row of S (the empty minor has permanent 1)."""
-    n = len(a)
-    per = {(0, 0): 1}
-    for _, same in itertools.groupby(sorted(range(1, 1 << n), key=int.bit_count), int.bit_count):
-        same = list(same)
-        for s, t in itertools.product(same, same):
-            row, rest = a[(s & -s).bit_length() - 1], s & (s - 1)
-            per[s, t] = sum(row[j] * per[rest, t ^ 1 << j] for j in range(n) if t >> j & 1)
-    return per
-
-
-def permanent_addition(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
-    """per(a + b) evaluated through the expansion over complementary minors.
-
-    Sums per(a[S|T]) * per(b(S|T)) over all index subsets S, T of equal
-    size, where a[S|T] keeps rows S / columns T and b(S|T) deletes them;
-    the empty minor has permanent 1.  Exact, and equal to the permanent
-    of the entrywise sum.
-    """
-    a = [list(map(int, row)) for row in a]
-    b = [list(map(int, row)) for row in b]
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n or any(len(row) != n for row in b):
-        raise ValueError("matrices must be square and of equal size")
-    if n > ADDITION_MAX_N:
-        raise ValueError(f"permanent_addition supports n <= {ADDITION_MAX_N}")
-    per_a, per_b = _minor_permanents(a), _minor_permanents(b)
-    full = (1 << n) - 1
-    return sum(v * per_b[full ^ s, full ^ t] for (s, t), v in per_a.items())
-
-
 # -- exact rank / determinant -------------------------------------------------
 
 
@@ -485,6 +453,32 @@ def _column_perms(n: int) -> np.ndarray:
     return perms
 
 
+def _row_major(rows: np.ndarray, n: int) -> np.ndarray:
+    """One code per stack of r packed n-bit rows, its first row highest: the
+    row-major r*n-bit ``_pack`` of the matrix those rows make."""
+    r = rows.shape[-1]
+    return (rows << (n * np.arange(r - 1, -1, -1, dtype=np.int64))).sum(axis=-1)
+
+
+def _orbit_rows(a: np.ndarray) -> np.ndarray:
+    """(n!, r, r) packed rows spanning the orbit of an r x n matrix a.
+
+    Entry [q, s] holds the rows of a with its columns permuted by q, under
+    the column signs that make row s all -1 and the row signs that make
+    column 1 all -1, sorted ascending, so row s (code 0) comes first.
+    Every orbit member with an all -1 row and column 1 all -1 is, up to
+    its row order, one of these n! * r matrices: the column permutation
+    and the row made all -1 fix both sets of signs.  With codes p_i of
+    the permuted rows, row i under the signs of row s differs from all
+    -1 where p_s ^ p_i is set, and its row sign takes the smaller of that
+    code and its complement.
+    """
+    r, n = a.shape
+    codes = _pack(a[:, _column_perms(n)]).T  # (n!, r): columns permuted
+    x = codes[:, :, None] ^ codes[:, None, :]
+    return np.sort(np.minimum(x, x ^ ((1 << n) - 1)), axis=-1)
+
+
 def _canonical_entries(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
     """Orbit-minimal entry tuple under swaps and negations.
 
@@ -494,18 +488,11 @@ def _canonical_entries(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
     any row constant, so the orbit minimum's first row is all -1, and the
     minimizing signs are +-(some row of the column-permuted matrix); s
     and -s give the same normalized rows.  So each column permutation
-    tries r sign vectors, and the search is n! * r instead of the full
-    orbit.  All n! * r candidates are built at once as packed row codes
-    (at most 720 * 6 * 6 * 6 entries under CANONICAL_MAX_SIZE).
+    tries r sign vectors, and the search is the n! * r matrices of
+    ``_orbit_rows`` instead of the full orbit.
     """
-    a = m.to_numpy()
-    r, n = a.shape
-    p = a.T[_column_perms(n)].swapaxes(1, 2)  # (n!, r, n): columns permuted
-    c = p[:, None] * p[:, :, None]  # c[q, s, i]: row i under the signs of row s
-    c *= -c[..., :1]  # each row the smaller of itself and its negation
-    rows = np.sort(_pack(c), axis=-1)
-    # one code per candidate, its first row highest: the row-major r*n-bit code
-    keys = (rows << (n * np.arange(r - 1, -1, -1, dtype=np.int64))).sum(axis=-1)
+    r, n = m.rows, m.cols
+    keys = _row_major(_orbit_rows(m.to_numpy()), n)
     return tuple(map(tuple, _unpack(keys.min(), r * n).reshape(r, n).tolist()))
 
 
@@ -534,38 +521,11 @@ def equivalent(a: SignMatrix, b: SignMatrix) -> bool:
 # -- classification --------------------------------------------------------------
 
 
-def find_vanishing(n: int, normalized: bool) -> np.ndarray:
-    """Encoded patterns of n x n sign matrices with permanent zero.
-
-    Exhaustive mode sweeps all 2^(n^2) matrices; normalized mode fixes the
-    first row and column to +1 and sweeps the 2^((n-1)^2) interior
-    patterns.  Returns an int64 array of full-matrix encodings in
-    ascending order: chunks are swept in order, and a fixed +1 border
-    keeps the order of interior patterns.  The tests' oracle for
-    ``classify_vanishing``.
-    """
-    # full-matrix encodings take n^2 bits in either mode, and the sweep
-    # counts patterns in int64
-    if n * n > 62:
-        raise UnsupportedSizeError(
-            f"sign patterns of n = {n} need {n * n} bits; the int64 sweep supports at most 62"
-        )
-    side = n - 1 if normalized else n
-    total = 1 << (side * side)
-    found = []
-    for start in range(0, total, _SWEEP_CHUNK):
-        raw = np.arange(start, min(start + _SWEEP_CHUNK, total), dtype=np.int64)
-        mats = _unpack(raw, side * side).reshape(len(raw), side, side)
-        if normalized:
-            mats = np.pad(mats, ((0, 0), (1, 0), (1, 0)), constant_values=1)
-        vanishing = mats[batch_permanent(mats) == 0]
-        found.append(_pack(vanishing.reshape(len(vanishing), n * n)))
-    return np.concatenate(found)
-
-
 def _sorted_rows(n: int) -> Iterator[np.ndarray]:
     """The n x n candidates of the classification sweep, in lexicographic
-    order, as (B, n, n) int8 chunks of at most ``_SWEEP_CHUNK``.
+    order, as (B, n, n) int8 chunks: 64 candidates first, each chunk four
+    times the last up to ``_SWEEP_CHUNK``, so a sweep that a small budget
+    stops walks few candidates.
 
     Row 1 is all +1.  Rows 2..n are a non-decreasing sequence of indices
     into the 2^(n-1) rows that start with +1, in packed-code order, so
@@ -593,18 +553,30 @@ def _sorted_rows(n: int) -> Iterator[np.ndarray]:
         tails = np.concatenate([tails, last[:, None].astype(np.uint8)], axis=1)
     rows = _unpack(np.arange(r, 2 * r), n).astype(np.int8)
     pending = np.zeros((0, n - 1), dtype=np.uint8)
+    size = min(64, _SWEEP_CHUNK)
     for i in range(r):
         # the tails whose entries are all >= i are the last C(r - i + k - 1, k)
         tail = tails[len(tails) - math.comb(r - i + k - 1, k) :]
         head = np.full((len(tail), 1), i, dtype=np.uint8)
         pending = np.concatenate([pending, np.concatenate([head, tail], axis=1)])
-        ready = len(pending) if i == r - 1 else len(pending) - len(pending) % _SWEEP_CHUNK
-        for start in range(0, ready, _SWEEP_CHUNK):
-            part = pending[start : start + _SWEEP_CHUNK]
+        while len(pending) >= size or (i == r - 1 and len(pending)):
+            part, pending = pending[:size], pending[size:]
             mats = np.ones((len(part), n, n), dtype=np.int8)
             mats[:, 1:] = rows[part]
             yield mats
-        pending = pending[ready:]
+            size = min(4 * size, _SWEEP_CHUNK)
+
+
+def _closure(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """The class of a square sign matrix from one ``_orbit_rows`` array:
+    the code of its canonical form, the array's minimum, and the codes of
+    its n! * n images in sorted-row candidate form (row 1 and column 1 all
+    +1, rows 2..n ascending), some of them equal."""
+    n = len(a)
+    rows = _orbit_rows(a)
+    # negated, row s is all +1 and goes first, the others ascending
+    images = ((1 << n) - 1) - np.concatenate([rows[..., :1], rows[..., :0:-1]], axis=-1)
+    return int(_row_major(rows, n).min()), _row_major(images, n).ravel()
 
 
 def classify_vanishing(
@@ -613,16 +585,21 @@ def classify_vanishing(
     """Canonical representatives of n x n sign matrices with permanent zero.
 
     Both modes sweep the sorted-row candidates of ``_sorted_rows``, which
-    meet every class, and deduplicate the vanishing ones by
-    ``canonical_form``.  ``exhaustive`` (n <= 4) runs the whole sweep
-    and ignores ``budget``, so the result is the full list of classes.
-    ``normalized-search`` (n <= 6) runs the whole sweep too unless
+    meet every class, and close each class over its orbit: the first
+    vanishing candidate not yet seen starts a class, and ``_closure``
+    gives both its representative, which ``canonical_form`` would give,
+    and its images in candidate form, which are all marked seen.  So
+    each class costs one orbit build, not one per vanishing candidate.
+    ``exhaustive`` (n <= 4) runs the whole sweep and ignores ``budget``,
+    so the result is the full list of classes.  ``normalized-search``
+    (n <= 6) runs the whole sweep too unless
     ``budget`` caps the number of vanishing matrices collected, in the
-    sweep's order, before deduplication (None or 0 means no cap):
-    uncapped, its class list is complete; capped, the sweep stops after
-    the chunk that reaches the cap and the list may be partial.  At
-    n = 6 a budget is required: uncapped, the search would canonicalize
-    92,706 vanishing matrices at about 1.5 ms each.
+    sweep's order (None or 0 means no cap): uncapped, its class list is
+    complete; capped, it holds the classes of the first ``budget``
+    vanishing candidates, the sweep stops after the chunk that reaches
+    the cap, and the list may be partial.  Uncapped, n = 6 sweeps
+    376,992 candidates and closes 86 classes over their 92,706 vanishing
+    ones in about half a second on a 2-CPU Xeon host.
     """
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
@@ -635,16 +612,17 @@ def classify_vanishing(
     elif mode == "normalized-search":
         if n > 6:
             raise UnsupportedSizeError("normalized search supports n <= 6")
-        if n == 6 and not budget:
-            raise UnsupportedSizeError("normalized search at n = 6 requires a budget")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    found, count = [], 0
+    seen, reps, count = set(), [], 0
     for mats in _sorted_rows(n):
-        found.append(mats[batch_permanent(mats) == 0])
-        count += len(found[-1])
+        vanishing = mats[batch_permanent(mats) == 0][: budget - count if budget else None]
+        count += len(vanishing)
+        for i, key in enumerate(_row_major(_pack(vanishing), n).tolist()):
+            if key not in seen:
+                rep, images = _closure(vanishing[i])
+                reps.append(rep)
+                seen.update(images.tolist())
         if budget and count >= budget:
             break
-    vanishing = np.concatenate(found)[: budget or None].tolist()
-    reps = {encode_pattern(canonical_form(sign_matrix(m))) for m in vanishing}
     return [decode_pattern(p, n) for p in sorted(reps)]

@@ -63,6 +63,9 @@ MAX_ITERATIONS = 120
 REJECT_THRESHOLD = 1e-8
 DEDUPE_TOLERANCE = 1e-6
 
+# The fewest restarts a solve runs by default once a constraint is not vacuous.
+DEFAULT_RESTARTS = 500
+
 # Why a restart stopped; SolveReport.exit_reasons counts them.
 EXIT_REASONS = ("converged", "flat-gradient", "no-step", "stagnated", "max-iterations")
 _CONVERGED, _FLAT_GRADIENT, _NO_STEP, _STAGNATED, _MAX_ITERATIONS = range(len(EXIT_REASONS))
@@ -495,36 +498,46 @@ def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> lis
 def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
     """Restarts ``solve`` runs on an instance of ``spec``.
 
-    ``config.restarts``, by default max(500, 50 * generic count) when that
-    count is defined and 500 otherwise; at most 8 when every constraint
-    is vacuous.  Raises UnsupportedSizeError when restarts times the
-    entries per start exceeds MAX_RESTART_ENTRIES, or restarts times
-    MAX_ITERATIONS times the sum of codims times prod(dims) exceeds
-    MAX_RESTART_WORK.
+    ``config.restarts``, by default max(DEFAULT_RESTARTS, 50 * generic
+    count) when that count is defined and DEFAULT_RESTARTS otherwise; at
+    most 8 when every constraint is vacuous.  ``check_restart_bounds``
+    refuses the count before any draw.
     """
     restarts = config.restarts
     if restarts is not None and restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
-    max_codim = max((c.codim for c in spec.constraints), default=0)
-    per_start = _entries_per_start(2 * sum(spec.dims), max_codim)
+    codims = [c.codim for c in spec.constraints]
     if restarts is None:
         # The entries bound caps sum(dims), and with it the multinomial of
         # the generic count: check it at the least default before counting.
-        _check_entries(500 if max_codim else 8, per_start)
+        per_start = _entries_per_start(2 * sum(spec.dims), max(codims, default=0))
+        _check_entries(DEFAULT_RESTARTS if any(codims) else 8, per_start)
         expected = generic_count(spec)
-        restarts = max(500, 50 * expected) if expected else 500
-    if not max_codim:
+        restarts = max(DEFAULT_RESTARTS, 50 * expected) if expected else DEFAULT_RESTARTS
+    if not any(codims):
         restarts = min(restarts, 8)
-    _check_entries(restarts, per_start)
-    codims, d = sum(c.codim for c in spec.constraints), math.prod(spec.dims)
-    work = restarts * MAX_ITERATIONS * codims * d
+    check_restart_bounds(restarts, spec.dims, codims)
+    return restarts
+
+
+def check_restart_bounds(restarts: int, dims: Sequence[int], codims: Sequence[int]) -> None:
+    """Raise UnsupportedSizeError when ``restarts`` restarts on constraints
+    of ``codims`` over ``dims`` exceed a bound: restarts times the entries
+    per start above MAX_RESTART_ENTRIES, or restarts times MAX_ITERATIONS
+    times the sum of codims times prod(dims) above MAX_RESTART_WORK.  Both
+    grow with the restarts and with every codim, so a check at fewer
+    restarts, or on fewer constraints, than a solve runs refuses only
+    inputs that the solve would refuse too.
+    """
+    _check_entries(restarts, _entries_per_start(2 * sum(dims), max(codims, default=0)))
+    total, d = sum(codims), math.prod(dims)
+    work = restarts * MAX_ITERATIONS * total * d
     if work > MAX_RESTART_WORK:
         raise UnsupportedSizeError(
             f"{restarts} restarts of {MAX_ITERATIONS} iterations on codimension"
-            f" {codims} in dimension {d} ask {work} units of work; at most"
+            f" {total} in dimension {d} ask {work} units of work; at most"
             f" {MAX_RESTART_WORK} are supported"
         )
-    return restarts
 
 
 def _check_entries(restarts: int, per_start: int) -> None:

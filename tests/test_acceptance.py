@@ -28,10 +28,8 @@ from prodvec.signmat import (
     decode_pattern,
     encode_pattern,
     equivalent,
-    find_vanishing,
     invariants,
     permanent,
-    permanent_addition,
     permanent_naive,
     sign_matrix,
 )
@@ -49,6 +47,7 @@ from prodvec.solver import (
     subspace_constraint,
 )
 from prodvec.truncpoly import coefficient_direct, expand_product
+from signmat_oracles import find_vanishing, permanent_addition
 
 
 class criterion:

@@ -355,14 +355,11 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["classify", "--n", "5", "--mode", "exhaustive"])
         assert rc == 1
 
-    def test_classify_n6_without_budget_is_1(self, capsys, monkeypatch):
-        def no_sweep(n):
-            raise AssertionError("swept before refusing")
-
-        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
-        rc, _, err = run(capsys, ["classify", "--n", "6", "--mode", "normalized-search"])
-        assert rc == 1
-        assert "budget" in err
+    def test_classify_n6_without_budget_is_0(self, capsys):
+        # uncapped, n = 6 closes all 86 classes of vanishing permanents
+        rc, out, _ = run(capsys, ["classify", "--n", "6", "--mode", "normalized-search"])
+        assert rc == 0
+        assert out.endswith("classes: 86\n")
 
     def test_sizes_below_one_are_1(self, capsys, monkeypatch):
         def no_sweep(*args):
@@ -409,9 +406,9 @@ class TestExitCodes:
             assert "budget" in err
 
     def test_classify_n6_budget_sweeps_one_chunk(self, capsys, monkeypatch):
-        # the first 65,536-candidate chunk of the sorted-row sweep at n = 6
-        # already holds 15,242 vanishing matrices, so a budget of 5 must
-        # stop the sweep there
+        # the first 64-candidate chunk of the sorted-row sweep at n = 6
+        # already holds 6 vanishing matrices, so a budget of 5 must stop
+        # the sweep there
         calls = []
         kernel = signmat.batch_permanent
 
@@ -423,7 +420,7 @@ class TestExitCodes:
         argv = ["classify", "--n", "6", "--mode", "normalized-search", "--budget", "5"]
         rc, out, _ = run(capsys, argv)
         assert rc == 0
-        assert calls == [1 << 16]
+        assert calls == [64]
         assert 1 <= int(out.rsplit("classes: ", 1)[1]) <= 5
 
     def test_solve_negative_restarts_is_1(self, capsys, tmp_path, monkeypatch):
@@ -590,6 +587,26 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["edge", str(path)])
         assert rc == 1
         assert "1000000" in err
+
+    def test_low_rank_edge_is_1_after_one_eigh(self, capsys, tmp_path, monkeypatch):
+        # |0...0> on seven qubits is PPT; its first partial transpose has
+        # codimension 127, so 500 restarts ask 500 * 120 * 127 * 128 units
+        # of work: refuse before the other 63 eigendecompositions
+        calls = []
+        eigh = mpstate.np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", counting)
+        path = tmp_path / "product.state"
+        path.write_text("dims: 2 2 2 2 2 2 2\n0 0 1 0\n")
+        rc, out, err = run(capsys, ["edge", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert f"at most {solver.MAX_RESTART_WORK}" in err
+        assert len(calls) <= 1
 
     def test_bad_tolerances_are_2(self, capsys, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):

@@ -11,12 +11,11 @@ from prodvec import signmat
 from prodvec.errors import UnsupportedSizeError
 from prodvec.signmat import (
     batch_permanent,
-    find_vanishing,
     permanent,
-    permanent_addition,
     permanent_naive,
     sign_matrix,
 )
+from signmat_oracles import find_vanishing, permanent_addition
 
 
 def naive_permanent(m):

@@ -25,10 +25,10 @@ from prodvec.signmat import (
     invariants,
     parse_matrix_text,
     permanent,
-    permanent_addition,
     permanent_naive,
     sign_matrix,
 )
+from signmat_oracles import canonical_codes, find_vanishing, permanent_addition
 
 SIGMA_1 = sign_matrix(["--++", "++++", "++++", "++++"])
 SIGMA_2 = sign_matrix(["--++", "+--+", "++++", "++++"])
@@ -527,7 +527,7 @@ class TestClassifyVanishing:
             expected = {canonical_form(sign_matrix(m)).entries for m in vanishing[:budget]}
             found = classify_vanishing(5, "normalized-search", budget)
             assert {c.entries for c in found} == expected
-        brute = signmat.find_vanishing(5, True)[:200]
+        brute = find_vanishing(5, True)[:200]
         assert {canonical_form(decode_pattern(int(p), 5)).entries for p in brute} != expected
 
     def test_sorted_rows_against_the_normalized_sweep(self):
@@ -545,7 +545,7 @@ class TestClassifyVanishing:
                 math.factorial(n - 1) // math.prod(map(math.factorial, Counter(m[1:]).values()))
                 for m in vanishing
             )
-            brute = signmat._unpack(signmat.find_vanishing(n, True), n * n).reshape(-1, n, n)
+            brute = signmat._unpack(find_vanishing(n, True), n * n).reshape(-1, n, n)
             brute = [tuple(map(tuple, m)) for m in brute.tolist()]
             assert weight == len(brute)
             assert {m[:1] + tuple(sorted(m[1:])) for m in brute} == vanishing
@@ -564,16 +564,69 @@ class TestClassifyVanishing:
         mats = np.concatenate(chunks)
         assert mats.tolist() == [list(map(list, m)) for m in sorted_row_candidates(5)]
         monkeypatch.undo()
+        # chunks start at 64 candidates and grow fourfold up to _SWEEP_CHUNK
         chunks = list(signmat._sorted_rows(6))
-        assert [len(c) for c in chunks] == [1 << 16] * 5 + [376_992 - 5 * (1 << 16)]
+        growing = [64 << 2 * j for j in range(5)]
+        rest = 376_992 - sum(growing) - 5 * (1 << 16)
+        assert [len(c) for c in chunks] == growing + [1 << 16] * 5 + [rest]
         codes = signmat._pack(np.concatenate(chunks).reshape(-1, 36).astype(np.int64))
         assert (np.diff(codes) > 0).all()
+
+    def test_closure_matches_one_canonical_form_per_candidate(self):
+        # the oracle canonicalizes every vanishing candidate; the closure
+        # must give its classes at every budget, and uncapped or at 0
+        for n in range(1, 6):
+            codes = canonical_codes(n)
+            classes = [decode_pattern(p, n) for p in sorted(set(codes))]
+            modes = ["normalized-search"] + (["exhaustive"] if n <= 4 else [])
+            for mode in modes:
+                assert classify_vanishing(n, mode) == classes
+            assert classify_vanishing(n, "normalized-search", 0) == classes
+            for budget in range(1, len(codes) + 1):
+                expected = [decode_pattern(p, n) for p in sorted(set(codes[:budget]))]
+                assert classify_vanishing(n, "normalized-search", budget) == expected
+        codes = canonical_codes(6, 5000)
+        for budget in (1, 5, 700, 5000):
+            expected = [decode_pattern(p, 6) for p in sorted(set(codes[:budget]))]
+            assert classify_vanishing(6, "normalized-search", budget) == expected
+
+    def test_closure_partitions_the_vanishing_candidates(self):
+        # every class's images are vanishing candidates, the classes are
+        # disjoint and cover them, and weighted by the distinct orders of
+        # rows 2..n they count the brute normalized sweep; each class then
+        # holds 2 (n!)^2 / |Stab| normalized matrices, so (n!)^2 / W_c is
+        # |Stab| / 2, which the full orbit gives at n <= 4
+        for n in range(1, 6):
+            mats = np.concatenate(list(signmat._sorted_rows(n)))
+            vanishing = mats[signmat.batch_permanent(mats) == 0]
+            keys = set(signmat._row_major(signmat._pack(vanishing), n).tolist())
+            covered, total = set(), 0
+            for c in classify_vanishing(n, "normalized-search"):
+                rep, images = signmat._closure(c.to_numpy())
+                assert rep == encode_pattern(c)
+                images = set(images.tolist())
+                assert images <= keys
+                assert not images & covered
+                covered |= images
+                weight = 0
+                for key in images:
+                    rows = [key >> n * (n - 1 - i) & (1 << n) - 1 for i in range(1, n)]
+                    orders = math.prod(map(math.factorial, Counter(rows).values()))
+                    weight += math.factorial(n - 1) // orders
+                assert math.factorial(n) ** 2 % weight == 0
+                if n <= 4:
+                    orbit = orbit_walk(encode_pattern(c), n)
+                    aut = math.factorial(n) ** 2 * 2 ** (2 * n - 1) // len(orbit)
+                    assert math.factorial(n) ** 2 // weight == aut
+                total += weight
+            assert covered == keys
+            assert total == len(find_vanishing(n, True))
 
     def test_exhaustive_matches_orbit_enumeration(self):
         # reference: walk the whole orbit of every vanishing matrix and keep
         # each orbit's minimum encoding
         for n in range(1, 5):
-            patterns = {int(p) for p in signmat.find_vanishing(n, False)}
+            patterns = {int(p) for p in find_vanishing(n, False)}
             minima = []
             while patterns:
                 orbit = orbit_walk(next(iter(patterns)), n)
@@ -596,15 +649,15 @@ class TestClassifyVanishing:
         with pytest.raises(UnsupportedSizeError):
             classify_vanishing(5, "exhaustive")
 
-    def test_n6_normalized_search_needs_budget(self, monkeypatch):
-        # the refusal must come before the 376,992-candidate sweep
-        def no_sweep(n):
-            raise AssertionError("swept before refusing")
-
-        monkeypatch.setattr(signmat, "_sorted_rows", no_sweep)
-        for budget in (None, 0):
-            with pytest.raises(UnsupportedSizeError):
-                classify_vanishing(6, "normalized-search", budget)
+    def test_n6_normalized_search_without_budget_is_complete(self):
+        # no budget and a budget of 0 both sweep all 376,992 candidates
+        # and close the 86 classes of their 92,706 vanishing ones
+        classes = classify_vanishing(6, "normalized-search")
+        assert len(classes) == 86
+        assert classify_vanishing(6, "normalized-search", 0) == classes
+        for c in classes:
+            assert permanent(c) == 0
+            assert canonical_form(c) == c
 
     def test_find_vanishing_refuses_past_62_bits(self, monkeypatch):
         # n^2 = 64-bit encodings overflow int64: refuse before the first
@@ -617,7 +670,7 @@ class TestClassifyVanishing:
         monkeypatch.setattr(signmat, "_unpack", no_work)
         for n, normalized in ((8, False), (8, True), (9, True)):
             with pytest.raises(UnsupportedSizeError):
-                signmat.find_vanishing(n, normalized)
+                find_vanishing(n, normalized)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
