@@ -23,13 +23,11 @@ import numpy as np
 from .errors import ParseError, UnsupportedSizeError
 from .solvability import Verdict, verdict
 from .solver import (
-    DEFAULT_RESTARTS,
     MAX_SPACE_DIM,
     ProductVector,
     SolveReport,
     SolverConfig,
     SubspaceConstraint,
-    check_restart_bounds,
     philox_stream,
     solve,
     spec_of_constraints,
@@ -37,6 +35,17 @@ from .solver import (
 
 DEFAULT_RANK_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
+# Largest 2^(n-1) * D^3 one edge analysis runs, D = prod(dims), checked on
+# the dims before any eigendecomposition.  The unit is one eigvalsh and one
+# eigh of a D x D partial transpose per canonical subset, 1.6-2.2 ns at
+# D = 128 to 512.  Since D >= 2^n, it also caps a profile's 2^(n-1) D^2
+# complement entries below 2^21.5 (50 MB).  `prodvec edge` on dense
+# full-rank PPT files, parsing included (2-CPU Xeon host, one BLAS thread):
+# (812,) with --restarts 3 took 2.8-3.6 s, 2 s of it parsing; (15, 43)
+# 1.7-2.6 s; (8, 8, 8), at the limit, 1.5-2.2 s; (1024,) and (28, 29), at
+# 2^30, 3.7-5.6 s.  Two-line product-state files end in under 1 s on
+# either side.
+MAX_EDGE_WORK = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -157,22 +166,17 @@ def _in_range(w: np.ndarray, tol: float) -> np.ndarray:
     return sv > (tol * top if top > 0 else tol)
 
 
-def rank_profile(
-    rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL, restarts: int | None = None
-) -> RankProfile:
+def rank_profile(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> RankProfile:
     """Ranks and range complements of all canonical partial transposes, and the edge bound.
 
     The rank cut is at ``tol`` (relative to the largest singular value);
     each record carries the singular values on both sides of the cut so
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
-    With ``restarts``, the fewest a solve on these ranges will run, the
-    solver's bounds are checked on the codimensions so far after each
-    rank, so a state whose solve would be refused is refused before its
-    next eigendecomposition and before its complements pile up.
+    Its 2^(n-1) D x D ``eigh`` calls and up to 2^(n-1) D^2 complement
+    entries are bounded only by ``edge_analysis``'s MAX_EDGE_WORK check.
     """
     records = []
-    codims = []
     total = 0
     for s in canonical_subsets(rho.n_parties):
         w, v = np.linalg.eigh(partial_transpose(rho, s).mat)
@@ -190,9 +194,6 @@ def rank_profile(
             )
         )
         total += rank
-        codims.append(rho.dim - rank)
-        if restarts is not None and any(codims):
-            check_restart_bounds(restarts, rho.dims, codims)
     n = rho.n_parties
     bound = (1 << (n - 1)) * math.prod(rho.dims) - sum(d - 1 for d in rho.dims)
     return RankProfile(tuple(records), total, bound)
@@ -265,18 +266,22 @@ def edge_analysis(
     conjugated product vector must lie in the range of the transposed
     state), runs the exact decision engine on the codimension profile
     and the numerical solver on the explicit ranges, and evaluates the
-    rank-sum inequality.  The solver's bounds are checked after each
-    rank at the fewest restarts the solve can run, so a state whose solve
-    would be refused raises UnsupportedSizeError before the remaining
-    eigendecompositions.
+    rank-sum inequality.  A state whose 2^(n-1) D^3 exceeds MAX_EDGE_WORK
+    raises UnsupportedSizeError before any eigendecomposition, PPT or not;
+    an admitted state whose solve is too large is refused by ``solve``.
     """
     config = config or SolverConfig()
+    subsets = 1 << (rho.n_parties - 1)
+    work = subsets * rho.dim**3
+    if work > MAX_EDGE_WORK:
+        raise UnsupportedSizeError(
+            f"dims {' x '.join(map(str, rho.dims))} ask {subsets} * {rho.dim}^3 ="
+            f" {work} units of work; at most {MAX_EDGE_WORK} are supported"
+        )
     ppt, min_eigs = is_ppt(rho)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
-    # once a codimension is nonzero, the solve runs at least this many restarts
-    least = DEFAULT_RESTARTS if config.restarts is None else config.restarts
-    profile = rank_profile(rho, rank_tol, least)
+    profile = rank_profile(rho, rank_tol)
     constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)

@@ -500,44 +500,34 @@ def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
 
     ``config.restarts``, by default max(DEFAULT_RESTARTS, 50 * generic
     count) when that count is defined and DEFAULT_RESTARTS otherwise; at
-    most 8 when every constraint is vacuous.  ``check_restart_bounds``
-    refuses the count before any draw.
+    most 8 when every constraint is vacuous.  MAX_RESTART_ENTRIES and
+    MAX_RESTART_WORK refuse the count before any draw; both count at least
+    one restart, so zero restarts cannot admit an instance of any size.
     """
     restarts = config.restarts
     if restarts is not None and restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
     codims = [c.codim for c in spec.constraints]
+    per_start = _entries_per_start(2 * sum(spec.dims), max(codims, default=0))
     if restarts is None:
         # The entries bound caps sum(dims), and with it the multinomial of
         # the generic count: check it at the least default before counting.
-        per_start = _entries_per_start(2 * sum(spec.dims), max(codims, default=0))
         _check_entries(DEFAULT_RESTARTS if any(codims) else 8, per_start)
         expected = generic_count(spec)
         restarts = max(DEFAULT_RESTARTS, 50 * expected) if expected else DEFAULT_RESTARTS
     if not any(codims):
         restarts = min(restarts, 8)
-    check_restart_bounds(restarts, spec.dims, codims)
-    return restarts
-
-
-def check_restart_bounds(restarts: int, dims: Sequence[int], codims: Sequence[int]) -> None:
-    """Raise UnsupportedSizeError when ``restarts`` restarts on constraints
-    of ``codims`` over ``dims`` exceed a bound: restarts times the entries
-    per start above MAX_RESTART_ENTRIES, or restarts times MAX_ITERATIONS
-    times the sum of codims times prod(dims) above MAX_RESTART_WORK.  Both
-    grow with the restarts and with every codim, so a check at fewer
-    restarts, or on fewer constraints, than a solve runs refuses only
-    inputs that the solve would refuse too.
-    """
-    _check_entries(restarts, _entries_per_start(2 * sum(dims), max(codims, default=0)))
-    total, d = sum(codims), math.prod(dims)
-    work = restarts * MAX_ITERATIONS * total * d
+    counted = max(restarts, 1)
+    _check_entries(counted, per_start)
+    total, d = sum(codims), math.prod(spec.dims)
+    work = counted * MAX_ITERATIONS * total * d
     if work > MAX_RESTART_WORK:
         raise UnsupportedSizeError(
-            f"{restarts} restarts of {MAX_ITERATIONS} iterations on codimension"
+            f"{counted} restarts of {MAX_ITERATIONS} iterations on codimension"
             f" {total} in dimension {d} ask {work} units of work; at most"
             f" {MAX_RESTART_WORK} are supported"
         )
+    return restarts
 
 
 def _check_entries(restarts: int, per_start: int) -> None:
@@ -567,8 +557,8 @@ def solve(
     """
     config = config or SolverConfig()
     dims = tuple(int(d) for d in dims)
-    problem = _Problem(dims, constraints)
     restarts = restart_count(spec_of_constraints(dims, constraints), config)
+    problem = _Problem(dims, constraints)
     seed = stream_seed(config.seed)
 
     found = [np.empty((0, d), dtype=complex) for d in dims]

@@ -588,25 +588,69 @@ class TestExitCodes:
         assert rc == 1
         assert "1000000" in err
 
-    def test_low_rank_edge_is_1_after_one_eigh(self, capsys, tmp_path, monkeypatch):
-        # |0...0> on seven qubits is PPT; its first partial transpose has
-        # codimension 127, so 500 restarts ask 500 * 120 * 127 * 128 units
-        # of work: refuse before the other 63 eigendecompositions
-        calls = []
-        eigh = mpstate.np.linalg.eigh
-
-        def counting(a):
-            calls.append(a.shape)
-            return eigh(a)
-
-        monkeypatch.setattr(mpstate.np.linalg, "eigh", counting)
+    def test_low_rank_edge_is_1_after_its_profile(self, capsys, tmp_path):
+        # |0...0> on seven qubits is PPT and within MAX_EDGE_WORK; its 64
+        # partial transposes have codimension 127 each, so 500 restarts ask
+        # 500 * 120 * 8128 * 128 units of solver work
         path = tmp_path / "product.state"
         path.write_text("dims: 2 2 2 2 2 2 2\n0 0 1 0\n")
         rc, out, err = run(capsys, ["edge", str(path)])
         assert rc == 1
         assert out == ""
         assert f"at most {solver.MAX_RESTART_WORK}" in err
-        assert len(calls) <= 1
+
+    def test_edge_over_the_work_bound_is_1_before_any_eigendecomposition(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # |0...0> on nine qubits would take about 14 s of eigvalsh alone;
+        # D = 646 is the smallest two-party dimension with 2 D^3 above 2^29
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eigendecomposed before checking the work bound")
+
+        monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eig)
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
+        for dims in ("2 2 2 2 2 2 2 2 2", "2 323"):
+            path = tmp_path / "product.state"
+            path.write_text(f"dims: {dims}\n0 0 1 0\n")
+            start = time.perf_counter()
+            rc, out, err = run(capsys, ["edge", str(path)])
+            assert time.perf_counter() - start < 1.0
+            assert rc == 1
+            assert out == ""
+            assert f"at most {mpstate.MAX_EDGE_WORK}" in err
+
+    def test_solve_zero_restarts_over_the_bound_is_1(self, capsys, tmp_path, monkeypatch):
+        # three codim-2048 constraints over (64, 64), 134 MB of basis each:
+        # zero restarts count as one, which asks 120 * 6144 * 4096 units
+        class NoDraw:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("drew before checking the restart work")
+
+        monkeypatch.setattr(solver.np.random, "Generator", NoDraw)
+        cons = [{"subset": s, "codim": 2048} for s in ([], [1], [2])]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dims": [64, 64], "constraints": cons}))
+        rc, out, err = run(capsys, ["solve", str(path), "--restarts", "0"])
+        assert rc == 1
+        assert out == ""
+        assert f"at most {solver.MAX_RESTART_WORK}" in err
+
+    def test_solve_refuses_before_building_the_problem(self, capsys, tmp_path, monkeypatch):
+        # one party of dimension 4096: one start counts (2 + 8192) * 8192
+        # entries, and _Problem would allocate an 8192 x 8192 penalty mask
+        def no_problem(*args, **kwargs):
+            raise AssertionError("built the problem before checking the restart bounds")
+
+        monkeypatch.setattr(solver, "_Problem", no_problem)
+        row = ["1+0i"] + ["0+0i"] * 4095
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"dims": [4096], "constraints": [{"subset": [], "complement_basis": [row]}]}
+        ))
+        rc, out, err = run(capsys, ["solve", str(path), "--restarts", "1"])
+        assert rc == 1
+        assert out == ""
+        assert f"the supported {solver.MAX_RESTART_ENTRIES}" in err
 
     def test_bad_tolerances_are_2(self, capsys, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prodvec import mpstate
-from prodvec.errors import ParseError
+from prodvec.errors import ParseError, UnsupportedSizeError
 from prodvec.mpstate import (
     INCONSISTENT,
     NOT_APPLICABLE,
@@ -313,6 +313,37 @@ class TestEdgeAnalysis:
         report = edge_analysis(state, SolverConfig(seed=5, restarts=20))
         assert len(calls) == 2 * 4
         assert report.decision.n_equations == sum(8 - r.rank for r in report.profile.records)
+
+    @pytest.mark.parametrize(
+        "dims, admitted",
+        [((8, 8, 8), True), ((2, 2, 128), True), ((812,), True),
+         ((2, 323), False), ((813,), False), ((2,) * 8, False)],
+    )
+    def test_work_bound_before_any_eigendecomposition(self, monkeypatch, dims, admitted):
+        # (8, 8, 8) and (2, 2, 128) sit exactly at MAX_EDGE_WORK = 4 * 512^3
+        # and (812,) just below it; the refused shapes sit just above it
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eigendecomposed before checking the work bound")
+
+        calls = []
+
+        def not_ppt(rho):
+            calls.append(rho.dims)
+            return False, {frozenset(): -1.0}
+
+        monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eig)
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
+        monkeypatch.setattr(mpstate, "is_ppt", not_ppt)
+        rho = maximally_mixed(dims)
+        work = 2 ** (len(dims) - 1) * rho.dim**3
+        assert (work <= mpstate.MAX_EDGE_WORK) == admitted
+        if admitted:
+            assert edge_analysis(rho).classification == NOT_APPLICABLE
+            assert calls == [dims]
+        else:
+            with pytest.raises(UnsupportedSizeError, match=f"at most {mpstate.MAX_EDGE_WORK}"):
+                edge_analysis(rho)
+            assert calls == []
 
     def test_rank_sum_at_bound_forces_witness_or_flag(self):
         report = edge_analysis(maximally_mixed((2, 2, 2)), SolverConfig(seed=3))
