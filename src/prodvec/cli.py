@@ -43,10 +43,11 @@ from .errors import ParseError, UnsupportedSizeError
 
 SCHEMA = "prodvec-report/8"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
-# draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 19 to 23 ns
-# at n >= 10 and 34 to 45 ns at n <= 2, each chunk tallied by np.unique;
-# `prodvec survey` at the limit took 2.3 to 2.9 s at n = 1, 2.9 to 3.0 s at
-# n = 2, 1.3 s at n = 10, 1.5 s at n = 13 and 1.4 s at n = 16.
+# draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 7 to 13 ns
+# at n >= 10 and 21 to 33 ns at n <= 2, each chunk tallied by np.unique;
+# `prodvec survey` at the limit, start-up included, took 1.6 to 2.3 s at
+# n = 1, 1.7 to 2.4 s at n = 2, 0.7 to 1.0 s at n = 10, 0.7 to 1.1 s at
+# n = 13 and 0.7 s at n = 16.
 SURVEY_MAX_STEPS = 1 << 26
 
 _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ParseError, UnsupportedSizeError
 from .solvability import Verdict, verdict
 from .solver import (
-    MAX_SPACE_DIM,
     ProductVector,
     SolveReport,
     SolverConfig,
@@ -255,6 +254,18 @@ class EdgeReport:
     witness: ProductVector | None
 
 
+def _check_edge_work(dims: Sequence[int]) -> None:
+    """Raise UnsupportedSizeError when 2^(n-1) D^3 exceeds MAX_EDGE_WORK."""
+    subsets = 1 << (len(dims) - 1)
+    d = math.prod(dims)
+    work = subsets * d**3
+    if work > MAX_EDGE_WORK:
+        raise UnsupportedSizeError(
+            f"dims {' x '.join(map(str, dims))} ask {subsets} * {d}^3 ="
+            f" {work} units of work; at most {MAX_EDGE_WORK} are supported"
+        )
+
+
 def edge_analysis(
     rho: DensityMatrix,
     config: SolverConfig | None = None,
@@ -271,13 +282,7 @@ def edge_analysis(
     an admitted state whose solve is too large is refused by ``solve``.
     """
     config = config or SolverConfig()
-    subsets = 1 << (rho.n_parties - 1)
-    work = subsets * rho.dim**3
-    if work > MAX_EDGE_WORK:
-        raise UnsupportedSizeError(
-            f"dims {' x '.join(map(str, rho.dims))} ask {subsets} * {rho.dim}^3 ="
-            f" {work} units of work; at most {MAX_EDGE_WORK} are supported"
-        )
+    _check_edge_work(rho.dims)
     ppt, min_eigs = is_ppt(rho)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
@@ -327,13 +332,11 @@ def read_state(text: str) -> DensityMatrix:
         raise ParseError("invalid dims header", start) from None
     if not dims or any(d < 2 for d in dims):
         raise ParseError("dims must be integers >= 2", start)
+    # The header alone fixes the d x d allocation and the d^2 entry lines,
+    # so the edge work bound, which admits d <= 812, is checked before any
+    # entry is read.
+    _check_edge_work(dims)
     d = math.prod(dims)
-    # The header alone fixes the d x d allocation, before any entry is
-    # read; the edge analysis makes further d x d copies.
-    if d > MAX_SPACE_DIM:
-        raise UnsupportedSizeError(
-            f"state dimension {d} exceeds the supported {MAX_SPACE_DIM}"
-        )
     mat = np.zeros((d, d), dtype=complex)
     for lineno, line in enumerate(lines[start:], start=start + 1):
         line = line.strip()

@@ -27,17 +27,26 @@ from .errors import ParseError, UnsupportedSizeError
 from .truncpoly import _crt, _primes_over
 
 # Glynn's sum doubles with each n: on a 2-CPU Xeon host, `prodvec
-# permanent` takes 0.9 to 1.3 s on a random 24 x 24 sign matrix, the slowest
-# input admitted.
+# permanent` takes 0.53 to 0.57 s on a random 24 x 24 sign matrix, the
+# slowest input admitted.
 PERMANENT_MAX_N = 24
 # Glynn's signed total is 2^(n-1) * per(a), at most 2^(n-1) * n! < 2^63 in
 # modulus while n <= 16.  Up to there the walk multiplies and sums in uint64,
 # modulo 2^64, and the total read back as int64 is exact: the partial sums are
 # not bounded, only the full total.  Above it, walks modulo primes below 2^31
 # give the rest and the Chinese remainder theorem rebuilds the total.
+# Each term's product (``_term_product``) widens in pairs.  A row sum is at
+# most n <= PERMANENT_MAX_N = 24 in modulus, so row sums, columns and twice
+# the columns are int8 (24 < 2^7); products of two row sums are int16 (24^2 =
+# 576 < 2^15), of four int32 (24^4 = 331,776 < 2^31) and of eight int64 (24^8
+# < 2^37).  Past the eights the product wraps modulo 2^64 in uint64; modulo a
+# prime q < 2^31 each eight is reduced first, so a residue times a residue or
+# times a row set aside (at most 24^4) is below 2^62.  A row set aside stays
+# in its own dtype until that last stage, never in a narrower product.
 MAX_UINT64_N = 16
 # Largest B * 2^(n-1) Glynn terms one batch_permanent call walks, checked
-# before any allocation: 3.4 to 3.7 s on a 2-CPU Xeon host at n = 16.
+# before any allocation: 1.1 to 1.4 s for 4096 random 16 x 16 matrices on a
+# 2-CPU Xeon host.
 BATCH_MAX_TERMS = 1 << 27
 NAIVE_MAX_N = 9
 CANONICAL_MAX_SIZE = 6
@@ -45,7 +54,7 @@ CANONICAL_MAX_SIZE = 6
 # host, 0.26 s for a random 128 x 128 matrix against 37 s for a random
 # 400 x 400 one.  Larger inputs are refused before any work.  Square inputs
 # up to PERMANENT_MAX_N also pay the Glynn permanent, so the slowest input
-# admitted is a random 24 x 24 one: 1.0 s for `prodvec invariants`.
+# admitted is a random 24 x 24 one: 0.55 to 0.85 s for `prodvec invariants`.
 INVARIANTS_MAX_SIZE = 128
 # Row sums per row that the Glynn walk steps at once: the last e signs are
 # enumerated into 2^e stack slices of B matrices while 2^e * B fits.
@@ -171,47 +180,90 @@ def _stack_signs(e: int) -> np.ndarray:
     return np.array([(-1) ** s.bit_count() for s in range(1 << e)], dtype=np.int64)
 
 
+def _reduce(x: np.ndarray, q: int, quotients: np.ndarray) -> None:
+    """x modulo q in [0, q), in place, with the quotients in a buffer of
+    x's shape: numpy's floor division by a scalar is several times faster
+    than its remainder."""
+    np.floor_divide(x, q, out=quotients)
+    quotients *= q
+    x -= quotients
+
+
+def _term_product(
+    rows: np.ndarray, q: int | None, out: np.ndarray, scratch: list[np.ndarray]
+) -> None:
+    """Product over the first axis of int8 row sums into ``out``: uint64
+    modulo 2^64 when q is None, else int64 residues modulo a prime q < 2^31.
+
+    Each level multiplies its first half of rows by its second half into
+    the next wider dtype, int16, int32, then int64; a level with an odd
+    number of rows sets its last row aside, in its own dtype, and
+    multiplies it in only at the end.  Modulo q, the int64 eights are
+    reduced, and the factors multiply in turn with a reduction after
+    each product.  The bounds that make each level exact are stated
+    above MAX_UINT64_N.  ``scratch`` holds the int16, int32 and int64
+    products and the int64 quotients of a reduction, allocated once per
+    walk: fresh buffers for every term cost more than the products.
+    """
+    *levels, quotients = scratch
+    aside = []
+    for level in levels:
+        if len(rows) < 2:
+            break
+        half = len(rows) // 2
+        if len(rows) & 1:
+            aside.append(rows[-1])
+        rows = np.multiply(rows[:half], rows[half : 2 * half], out=level[:half], dtype=level.dtype)
+    eights = rows.astype(np.int64, copy=False)
+    if q is None:
+        eights = eights.view(np.uint64)  # two's complement
+        np.copyto(out, eights[0])
+        for f in [*eights[1:], *aside]:
+            np.multiply(out, f, out=out, dtype=np.uint64, casting="unsafe")
+    else:
+        _reduce(eights, q, quotients[: len(eights)])
+        np.copyto(out, eights[0])
+        for f in [*eights[1:], *aside]:
+            out *= f
+            _reduce(out, q, quotients[0])
+
+
 def _glynn(mats: np.ndarray, q: int | None = None) -> np.ndarray:
     """Glynn's signed total sum over d in {+-1}^n with d_0 = +1 of
     (prod_k d_k) * prod_i (a d)_i for each a of a (B, n, n) stack.
 
-    Row sums are exact int64 (|(a d)_i| <= n), kept as (n, 2^e, B): the
+    Row sums are exact int8 (|(a d)_i| <= n), kept as (n, 2^e, B): the
     last e signs are enumerated into the stack, e as large as 2^e * B <=
     ``_STACK_WIDTH`` and e <= n - 1 allow, and signs 1..n-1-e are walked in
     Gray-code order, each step moving every row sum by twice one column.
-    With q None the rows multiply in turn and the terms sum in uint64,
-    modulo 2^64; with a prime q < 2^31, in int64 residues reduced after
-    twelve rows and then every six: 24^12 and 24^6 * q are below 2^63.
+    Each term is ``_term_product`` of the row sums; with q None the terms
+    sum in uint64, modulo 2^64, and with a prime q < 2^31 in int64
+    residues.
     """
     b, n, _ = mats.shape
     e = 0
     while e < n - 1 and b << (e + 1) <= _STACK_WIDTH:
         e += 1
     w = n - 1 - e
-    cols = mats.transpose(2, 1, 0).astype(np.int64, order="C")  # cols[j, i] = a[:, i, j]
+    cols = mats.transpose(2, 1, 0).astype(np.int8, order="C")  # cols[j, i] = a[:, i, j]
     twice = 2 * cols[:, :, None]
-    rowsums = np.empty((n, 1 << e, b), dtype=np.int64)
+    rowsums = np.empty((n, 1 << e, b), dtype=np.int8)
     cols.sum(axis=0, out=rowsums[:, 0])
     for j in range(e):  # slice s has d = -1 at the enumerated signs of its set bits
         np.subtract(rowsums[:, : 1 << j], twice[w + 1 + j], out=rowsums[:, 1 << j : 2 << j])
     signs = _stack_signs(e)
     if q is None:
-        rows, signs = rowsums.view(np.uint64), signs.view(np.uint64)  # two's complement
+        signs = signs.view(np.uint64)  # two's complement
     total = np.zeros(rowsums.shape[1:], dtype=np.uint64 if q is None else np.int64)
     term = np.empty_like(total)
+    scratch = [np.empty((max(n >> k, 1), *total.shape), dtype=dtype)
+               for k, dtype in ((1, np.int16), (2, np.int32), (3, np.int64), (3, np.int64))]
     for k in range(1 << w):
         if k:  # flip sign t + 1: d goes to -1 where bit t of the Gray code is set
             t = (k & -k).bit_length() - 1
             step = np.subtract if (k ^ (k >> 1)) >> t & 1 else np.add
             step(rowsums, twice[t + 1], out=rowsums)
-        if q is None:
-            np.prod(rows, axis=0, out=term)
-        else:
-            np.prod(rowsums[:12], axis=0, out=term)
-            for i in range(12, n, 6):
-                term %= q
-                term *= rowsums[i : i + 6].prod(axis=0)
-            term %= q
+        _term_product(rowsums, q, term, scratch)
         (np.subtract if k & 1 else np.add)(total, term, out=total)
     return signs @ total if q is None else signs @ total % q
 
@@ -237,7 +289,8 @@ def permanent(m: SignMatrix) -> int:
 
 def batch_permanent(mats: np.ndarray) -> np.ndarray:
     """int64 permanents of a (B, n, n) stack of sign matrices, n <=
-    MAX_UINT64_N, by ``_glynn`` modulo 2^64."""
+    MAX_UINT64_N, by ``_glynn`` modulo 2^64.  Any entry other than +1 or
+    -1 raises ValueError before the walk, whose int8 row sums would wrap."""
     mats = np.asarray(mats)
     b, n, n2 = mats.shape
     if n != n2:
@@ -249,7 +302,9 @@ def batch_permanent(mats: np.ndarray) -> np.ndarray:
     if b << (n - 1) > BATCH_MAX_TERMS:
         raise UnsupportedSizeError(f"{b} permanents at n = {n} take {b << (n - 1)} Glynn"
                                    f" terms; at most {BATCH_MAX_TERMS} are supported")
-    # chunks of _STACK_WIDTH matrices bound the walk's int64 copies
+    if not ((mats == 1) | (mats == -1)).all():
+        raise ValueError("entries must be +1 or -1")
+    # chunks of _STACK_WIDTH matrices bound the walk's row sums and products
     totals = [_glynn(mats[i : i + _STACK_WIDTH]) for i in range(0, max(b, 1), _STACK_WIDTH)]
     return np.concatenate(totals).view(np.int64) >> (n - 1)
 

@@ -588,6 +588,16 @@ class TestExitCodes:
         assert rc == 1
         assert "1000000" in err
 
+    def test_state_over_the_work_bound_is_1_before_its_entries(self, capsys, tmp_path):
+        # the header alone puts (1025,) above MAX_EDGE_WORK, so the entry
+        # lines, here a malformed one, are never parsed
+        path = tmp_path / "dense.state"
+        path.write_text("dims: 1025\n0 0 oops\n")
+        rc, out, err = run(capsys, ["edge", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert f"at most {mpstate.MAX_EDGE_WORK}" in err
+
     def test_low_rank_edge_is_1_after_its_profile(self, capsys, tmp_path):
         # |0...0> on seven qubits is PPT and within MAX_EDGE_WORK; its 64
         # partial transposes have codimension 127 each, so 500 restarts ask

@@ -15,6 +15,7 @@ from prodvec.signmat import (
     permanent_naive,
     sign_matrix,
 )
+from prodvec.truncpoly import _primes_over
 from signmat_oracles import find_vanishing, permanent_addition
 
 
@@ -77,12 +78,15 @@ class TestNonGlynnOracles:
 
     def test_batch_all_ones_at_the_uint64_limit(self):
         # |per| = 16! needs the whole 2^15 * 16! < 2^63 bound of the total
-        # read back as int64
-        ones = np.ones((2, 16, 16), dtype=np.int8)
-        ones[1, 0] = -1
-        expected = [math.factorial(16), -math.factorial(16)]
+        # read back as int64; at d = +1 every |row sum| is 16, so that term,
+        # 16^16 = 2^64, wraps to 0, and the negated row lands in each half
+        # of each level of the product
+        ones = np.ones((17, 16, 16), dtype=np.int8)
+        for i in range(16):
+            ones[1 + i, i] = -1
+        expected = [math.factorial(16)] + [-math.factorial(16)] * 16
         assert batch_permanent(ones).tolist() == expected
-        assert [permanent(sign_matrix(m)) for m in ones] == expected
+        assert [permanent(sign_matrix(m)) for m in ones[:2]] == expected[:2]
 
     def test_all_ones_above_the_uint64_limit(self):
         # from n = 17 the total 2^(n-1) * n! no longer fits modulo 2^64, and
@@ -91,6 +95,51 @@ class TestNonGlynnOracles:
             ones = np.ones((n, n), dtype=np.int8)
             ones[n // 2] = (-1) ** n  # odd n: one row negated, so per = -n!
             assert permanent(sign_matrix(ones)) == (-1) ** n * math.factorial(n)
+
+    @pytest.mark.parametrize("n", [9, 11, 13, 15])
+    def test_rows_set_aside_at_odd_levels(self, n):
+        # 15 -> 7 -> 3 -> 1 sets a row aside in int8, int16 and int32; 9, 11
+        # and 13 set one aside at the first level and at some of the others
+        ones = np.ones((n + 1, n, n), dtype=np.int8)
+        for i in range(n):
+            ones[1 + i, i] = -1
+        expected = [math.factorial(n)] + [-math.factorial(n)] * n
+        assert batch_permanent(ones).tolist() == expected
+        rng = np.random.Generator(np.random.Philox(key=[19, n]))
+        m = random_signs(rng, (n, n))
+        assert permanent(sign_matrix(m)) == ryser_reference(m.tolist())
+        assert int(batch_permanent(m[None])[0]) == ryser_reference(m.tolist())
+
+    @pytest.mark.parametrize("n", [23, 24])
+    def test_prime_walks_at_row_sums_of_24(self, n):
+        # at d = +1 every |row sum| is n: 24 makes each int64 eight 24^8, the
+        # most the reduction modulo q takes in; 23 sets a row aside at every
+        # level, the int32 one as large as 23^4
+        ones = np.ones((n, n), dtype=np.int8)
+        ones[n - 1] = -1
+        total = -math.factorial(n) << (n - 1)
+        primes = _primes_over((math.factorial(n) << n) >> 64)
+        assert len(primes) == 2
+        for q in primes:
+            # one matrix per walk, whose stack is one long row per row sum
+            assert signmat._glynn(ones[None], q).tolist() == [total % q]
+            assert signmat._glynn(-ones[None], q).tolist() == [(-1) ** n * total % q]
+
+    def test_batch_of_extremes_at_16(self):
+        # all +1, all -1, one row or one column negated, a half-negated
+        # block, and two random matrices, in one stack
+        ones = np.ones((16, 16), dtype=np.int8)
+        row, col, block = ones.copy(), ones.copy(), ones.copy()
+        row[7] = -1
+        col[:, 12] = -1
+        block[:8, :8] = -1
+        rng = np.random.Generator(np.random.Philox(key=[16, 0]))
+        randoms = random_signs(rng, (2, 16, 16))
+        mats = np.stack([ones, -ones, row, col, block, *randoms])
+        f = math.factorial(16)
+        expected = [f, f, -f, -f, ryser_reference(block.tolist())]
+        expected += [ryser_reference(m.tolist()) for m in randoms]
+        assert batch_permanent(mats).tolist() == expected
 
     def test_residues_match_ryser_above_16(self):
         # Ryser's Python-int loop doubles with each n: about 0.3 s at n = 17
@@ -195,6 +244,18 @@ class TestKernel:
         b = (signmat.BATCH_MAX_TERMS >> 15) + 1
         with pytest.raises(UnsupportedSizeError, match=f"at most {signmat.BATCH_MAX_TERMS}"):
             batch_permanent(np.broadcast_to(np.ones((1, 1, 1), dtype=np.int8), (b, 16, 16)))
+
+    def test_refuses_entries_other_than_signs(self, monkeypatch):
+        # int8 row sums of other entries would wrap without an error
+        def no_walk(*args):
+            raise AssertionError("walked a stack that is not of sign matrices")
+
+        monkeypatch.setattr(signmat, "_glynn", no_walk)
+        for bad in (2, 0):
+            mats = np.ones((3, 4, 4), dtype=np.int64)
+            mats[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="entries must be"):
+                batch_permanent(mats)
 
     def test_refuses_empty_matrices(self):
         # the 0 x 0 permanent is 1, but the kernel's Ryser sum would give 0
