@@ -317,7 +317,12 @@ def _cmd_equivalent(args) -> list[str]:
 
 
 def _cmd_edge(args) -> list[str]:
-    rho = mpstate.read_state(_read(args.state))
+    # read_state takes the open file, so a refused header stops the read
+    try:
+        with open(args.state) as fh:
+            rho = mpstate.read_state(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {args.state}: {exc.strerror}") from None
     report = mpstate.edge_analysis(
         rho, _solver_config(args), rank_tol=args.rank_tol
     )

@@ -14,9 +14,12 @@ least significant bit.
 
 from __future__ import annotations
 
+import io
 import math
-from collections.abc import Sequence
+import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .solver import (
     SolverConfig,
     SubspaceConstraint,
     philox_stream,
+    restart_count,
     solve,
     spec_of_constraints,
 )
@@ -35,15 +39,16 @@ from .solver import (
 DEFAULT_RANK_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 # Largest 2^(n-1) * D^3 one edge analysis runs, D = prod(dims), checked on
-# the dims before any eigendecomposition.  The unit is one eigvalsh and one
-# eigh of a D x D partial transpose per canonical subset, 1.6-2.2 ns at
-# D = 128 to 512.  Since D >= 2^n, it also caps a profile's 2^(n-1) D^2
-# complement entries below 2^21.5 (50 MB).  `prodvec edge` on dense
-# full-rank PPT files, parsing included (2-CPU Xeon host, one BLAS thread):
-# (812,) with --restarts 3 took 2.8-3.6 s, 2 s of it parsing; (15, 43)
-# 1.7-2.6 s; (8, 8, 8), at the limit, 1.5-2.2 s; (1024,) and (28, 29), at
-# 2^30, 3.7-5.6 s.  Two-line product-state files end in under 1 s on
-# either side.
+# the dims before any eigendecomposition.  The unit is one eigh of a D x D
+# partial transpose per canonical subset, the one decomposition is_ppt and
+# rank_profile share: 1.1-2.2 ns at D = 64 to 812.  Since D >= 2^n, it
+# also caps a profile's 2^(n-1) D^2 complement entries below 2^21.5
+# (50 MB).  `prodvec edge` on dense full-rank PPT files, parsing included
+# (2-CPU Xeon host, one BLAS thread): (812,) with --restarts 3 took
+# 1.3-1.8 s, 0.55-0.75 s of it parsing; (15, 43) 1.1-1.3 s; (8, 8, 8),
+# at the limit, 1.0-1.4 s; (2, 2, 128) 1.0-1.2 s.  (28, 29), at 2^30,
+# took 1.5 s in-process with the bound lifted.  Two-line product-state
+# files end in under 1 s on either side.
 MAX_EDGE_WORK = 1 << 29
 
 
@@ -127,17 +132,37 @@ def canonical_subsets(n: int) -> list[frozenset[int]]:
     return out
 
 
-def is_ppt(rho: DensityMatrix) -> tuple[bool, dict[frozenset[int], float]]:
+class _Spectra(NamedTuple):
+    subsets: list[frozenset[int]]  # canonical_subsets(n)
+    w: np.ndarray  # (2^(n-1), D) ascending eigenvalues
+    v: np.ndarray  # (2^(n-1), D, D) eigenvectors in the columns
+
+
+def _decompose(rho: DensityMatrix) -> _Spectra:
+    """One stacked eigh of every canonical partial transpose of ``rho``.
+
+    numpy decomposes each matrix of the stack alone, so every slice gets
+    the bits its own eigh would.  Nothing keeps the result: ``edge_analysis``
+    hands its one decomposition to ``is_ppt`` and ``rank_profile``, and
+    each of them called alone decomposes afresh.
+    """
+    subsets = canonical_subsets(rho.n_parties)
+    stack = np.empty((len(subsets), rho.dim, rho.dim), dtype=complex)
+    for k, s in enumerate(subsets):
+        stack[k] = partial_transpose(rho, s).mat
+    w, v = np.linalg.eigh(stack)
+    return _Spectra(subsets, w, v)
+
+
+def is_ppt(
+    rho: DensityMatrix, spectra: _Spectra | None = None
+) -> tuple[bool, dict[frozenset[int], float]]:
     """Positivity of every partial transpose, checked on the canonical subsets:
-    no eigenvalue below -POSITIVITY_TOL."""
-    min_eigs: dict[frozenset[int], float] = {}
-    ok = True
-    for s in canonical_subsets(rho.n_parties):
-        w = np.linalg.eigvalsh(partial_transpose(rho, s).mat)
-        min_eigs[s] = float(w[0])
-        if w[0] < -POSITIVITY_TOL:
-            ok = False
-    return ok, min_eigs
+    no eigenvalue below -POSITIVITY_TOL.  Reads ``spectra``, by default
+    ``_decompose(rho)``, the decomposition ``rank_profile`` reads."""
+    spectra = _decompose(rho) if spectra is None else spectra
+    min_eigs = dict(zip(spectra.subsets, spectra.w[:, 0].tolist()))
+    return not (spectra.w[:, 0] < -POSITIVITY_TOL).any(), min_eigs
 
 
 @dataclass(frozen=True)
@@ -165,20 +190,24 @@ def _in_range(w: np.ndarray, tol: float) -> np.ndarray:
     return sv > (tol * top if top > 0 else tol)
 
 
-def rank_profile(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> RankProfile:
+def rank_profile(
+    rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL, spectra: _Spectra | None = None
+) -> RankProfile:
     """Ranks and range complements of all canonical partial transposes, and the edge bound.
 
     The rank cut is at ``tol`` (relative to the largest singular value);
     each record carries the singular values on both sides of the cut so
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
-    Its 2^(n-1) D x D ``eigh`` calls and up to 2^(n-1) D^2 complement
-    entries are bounded only by ``edge_analysis``'s MAX_EDGE_WORK check.
+    It reads ``spectra``, by default ``_decompose(rho)``, the
+    decomposition ``is_ppt`` reads.  Its 2^(n-1) D x D ``eigh`` calls and
+    up to 2^(n-1) D^2 complement entries are bounded only by
+    ``edge_analysis``'s MAX_EDGE_WORK check.
     """
     records = []
     total = 0
-    for s in canonical_subsets(rho.n_parties):
-        w, v = np.linalg.eigh(partial_transpose(rho, s).mat)
+    spectra = _decompose(rho) if spectra is None else spectra
+    for s, w, v in zip(spectra.subsets, spectra.w, spectra.v):
         keep = _in_range(w, tol)
         sv = np.abs(w)
         rank = int(keep.sum())
@@ -277,16 +306,22 @@ def edge_analysis(
     conjugated product vector must lie in the range of the transposed
     state), runs the exact decision engine on the codimension profile
     and the numerical solver on the explicit ranges, and evaluates the
-    rank-sum inequality.  A state whose 2^(n-1) D^3 exceeds MAX_EDGE_WORK
-    raises UnsupportedSizeError before any eigendecomposition, PPT or not;
-    an admitted state whose solve is too large is refused by ``solve``.
+    rank-sum inequality.  A state whose 2^(n-1) D^3 exceeds MAX_EDGE_WORK,
+    or whose cheapest solve (no constraints at all) ``restart_count``
+    refuses, raises UnsupportedSizeError before any eigendecomposition,
+    PPT or not; an admitted state whose solve is too large is refused by
+    ``solve``.  The PPT test and the profile read one decomposition,
+    dropped once the profile has copied out its complements.
     """
     config = config or SolverConfig()
     _check_edge_work(rho.dims)
-    ppt, min_eigs = is_ppt(rho)
+    restart_count(spec_of_constraints(rho.dims, []), config)
+    spectra = _decompose(rho)
+    ppt, min_eigs = is_ppt(rho, spectra)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
-    profile = rank_profile(rho, rank_tol)
+    profile = rank_profile(rho, rank_tol, spectra)
+    del spectra
     constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)
@@ -315,30 +350,97 @@ def write_state(rho: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_state(text: str) -> DensityMatrix:
-    lines = text.splitlines()
-    header = None
-    start = 0
-    for idx, line in enumerate(lines):
-        if line.strip():
-            header = line.strip()
-            start = idx + 1
+# numpy's C reader parses entry lines with a row of this dtype per line.
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("re", np.float64), ("im", np.float64)])
+
+
+def read_state(source: str | TextIO) -> DensityMatrix:
+    """Parse a state file, given as its text or as a text stream.
+
+    A text's lines end at LF, CRLF or CR, as in a file opened in text
+    mode; a stream's are the lines it yields.  The ``dims:`` header is
+    the first non-blank line; it is checked, the edge work bound
+    included, before any entry line is read.  The entry lines go to
+    numpy's C reader.  When it refuses them, or a row holds a non-finite
+    value or an index out of range, the entry lines are read again one
+    at a time: that loop either raises the ParseError of the first bad
+    line or accepts the file (Python's ``int`` and ``float`` also take
+    ``1_0`` and non-ASCII digits).  A stream must be seekable for that
+    second reading; any other stream is read whole first.
+    """
+    if isinstance(source, str) or not source.seekable():
+        source = io.StringIO(source if isinstance(source, str) else source.read(), newline=None)
+    top = source.tell()
+    dims, header_line = _read_header(source)
+    # The header alone fixes the d x d allocation and the d^2 entry lines,
+    # so the edge work bound, which admits d <= 812, is checked first.
+    _check_edge_work(dims)
+    d = math.prod(dims)
+    mat = _read_entries(source, d)
+    if mat is None:
+        source.seek(top)
+        _read_header(source)
+        mat = _read_entry_lines(source, d, header_line)
+    try:
+        return density_matrix(dims, mat)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _read_header(stream: TextIO) -> tuple[tuple[int, ...], int]:
+    """The dims of the first non-blank line, and its line number."""
+    for lineno, line in enumerate(iter(stream.readline, ""), start=1):
+        header = line.strip()
+        if header:
             break
-    if header is None or not header.startswith("dims:"):
+    else:
+        header, lineno = "", 1
+    if not header.startswith("dims:"):
         raise ParseError("expected header 'dims: d1 d2 ...'", 1)
     try:
         dims = tuple(int(x) for x in header[len("dims:") :].split())
     except ValueError:
-        raise ParseError("invalid dims header", start) from None
+        raise ParseError("invalid dims header", lineno) from None
     if not dims or any(d < 2 for d in dims):
-        raise ParseError("dims must be integers >= 2", start)
-    # The header alone fixes the d x d allocation and the d^2 entry lines,
-    # so the edge work bound, which admits d <= 812, is checked before any
-    # entry is read.
-    _check_edge_work(dims)
-    d = math.prod(dims)
+        raise ParseError("dims must be integers >= 2", lineno)
+    return dims, lineno
+
+
+def _read_entries(stream: TextIO, d: int) -> np.ndarray | None:
+    """The d x d matrix of the entry lines through numpy's C reader, or
+    None when a line needs ``_read_entry_lines`` to accept or refuse it."""
+    with warnings.catch_warnings():
+        # an empty body is a zero matrix, refused on its trace
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # older numpy parses an integer field such as "0.9" via a float
+        # and truncates it, with only a DeprecationWarning; as an error the
+        # C reader refuses the line, and the line loop refuses it too
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(stream, dtype=_ENTRY, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+    i, j, re, im = (rows[name] for name in _ENTRY.names)
+    inside = (i >= 0) & (i < d) & (j >= 0) & (j < d)
+    if not (inside.all() and np.isfinite(re).all() and np.isfinite(im).all()):
+        return None
+    # the last line of a repeated (i, j) wins, as in the line loop; numpy
+    # leaves the order of repeated fancy-index assignment open, but
+    # maximum.at gives each cell the largest row that names it
+    cell = i * d + j
+    owner = np.full(d * d, -1)
+    np.maximum.at(owner, cell, np.arange(rows.size))
+    hit = owner >= 0
+    last = owner[hit]
+    mat = np.zeros(d * d, dtype=complex)
+    mat[hit] = re[last] + 1j * im[last]
+    return mat.reshape(d, d)
+
+
+def _read_entry_lines(lines: Iterable[str], d: int, header_line: int) -> np.ndarray:
+    """The d x d matrix of the entry lines after the header, one line at a time."""
     mat = np.zeros((d, d), dtype=complex)
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(lines, start=header_line + 1):
         line = line.strip()
         if not line:
             continue
@@ -355,7 +457,4 @@ def read_state(text: str) -> DensityMatrix:
         if not (0 <= i < d and 0 <= j < d):
             raise ParseError(f"index ({i}, {j}) outside 0..{d - 1}", lineno)
         mat[i, j] = re + 1j * im
-    try:
-        return density_matrix(dims, mat)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return mat

@@ -629,6 +629,43 @@ class TestExitCodes:
             assert out == ""
             assert f"at most {mpstate.MAX_EDGE_WORK}" in err
 
+    def test_edge_under_the_solver_floor_is_1_before_any_eigendecomposition(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # one party of dimension 645: even eight restarts of a vacuous
+        # constraint count 8 * 1290^2 entries, above MAX_RESTART_ENTRIES;
+        # three restarts fit, and the analysis goes on
+        decomposed = []
+
+        def no_eig(*args, **kwargs):
+            decomposed.append(args[0].shape)
+            raise AssertionError("eigendecomposed before checking the solver floor")
+
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
+        path = tmp_path / "product.state"
+        path.write_text("dims: 645\n0 0 1 0\n")
+        rc, out, err = run(capsys, ["edge", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert f"the supported {solver.MAX_RESTART_ENTRIES}" in err
+        assert decomposed == []
+        with pytest.raises(AssertionError, match="solver floor"):
+            cli.main(["edge", str(path), "--restarts", "3"])
+        assert decomposed == [(1, 645, 645)]
+
+    def test_edge_negative_restarts_is_1_even_when_not_ppt(self, capsys, tmp_path):
+        # the solver floor counts the restarts before the PPT check, so an
+        # invalid count is refused on a Bell state too
+        path = tmp_path / "bell.state"
+        path.write_text("dims: 2 2\n0 0 0.5 0\n3 3 0.5 0\n0 3 0.5 0\n3 0 0.5 0\n")
+        rc, out, err = run(capsys, ["edge", str(path), "--restarts", "-1"])
+        assert rc == 1
+        assert out == ""
+        assert "restarts must be non-negative" in err
+        rc, out, _ = run(capsys, ["edge", str(path)])
+        assert rc == 0
+        assert "not-applicable" in out
+
     def test_solve_zero_restarts_over_the_bound_is_1(self, capsys, tmp_path, monkeypatch):
         # three codim-2048 constraints over (64, 64), 134 MB of basis each:
         # zero restarts count as one, which asks 120 * 6144 * 4096 units

@@ -1,6 +1,8 @@
 """Density-matrix operations: partial transposes, PPT, ranks, edge analysis."""
 
+import io
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ from prodvec.mpstate import (
     read_state,
     write_state,
 )
-from prodvec.solver import SolverConfig, product_vector, residual
+from prodvec.solver import MAX_RESTART_ENTRIES, SolverConfig, product_vector, residual
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -57,6 +59,22 @@ def random_vectors(seed, dims, count):
 
 
 RANDOM_DIMS = [(2, 2), (2, 3), (3, 4), (2, 2, 2), (2, 2, 3), (12,), (2, 5)]
+
+
+def no_eig(*args, **kwargs):
+    raise AssertionError("eigendecomposed before checking the bounds")
+
+
+def not_ppt_spectra(calls):
+    """Stand-in for mpstate._decompose: every partial transpose has -1 as its
+    only eigenvalue, so the state is not PPT; records the dims it sees."""
+
+    def decompose(rho):
+        calls.append(rho.dims)
+        subsets = canonical_subsets(rho.n_parties)
+        return mpstate._Spectra(subsets, -np.ones((len(subsets), 1)), None)
+
+    return decompose
 
 
 class TestPartialTranspose:
@@ -295,24 +313,68 @@ class TestEdgeAnalysis:
         assert report.profile is None
 
     def test_ranges_taken_from_the_profile(self, monkeypatch):
-        # one partial transpose per canonical subset for is_ppt and one for
-        # rank_profile; the constraints reuse the profile's complements
+        # one eigh per canonical subset, shared by is_ppt and rank_profile;
+        # the constraints reuse the profile's complements
         calls = []
+        stacked = []
         transpose = mpstate.partial_transpose
+        eigh = np.linalg.eigh
 
         def counting(rho, subset):
             calls.append(subset)
             return transpose(rho, subset)
 
+        def counting_eigh(a, *args, **kwargs):
+            stacked.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
         def no_complement(*args, **kwargs):
             raise AssertionError("edge_analysis decomposed a partial transpose again")
 
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("edge_analysis took a second spectrum")
+
         monkeypatch.setattr(mpstate, "partial_transpose", counting)
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eigvalsh)
         monkeypatch.setattr(mpstate, "range_complement", no_complement)
         state = build_separable(random_vectors(77, (2, 2, 2), 4), [0.25] * 4)
         report = edge_analysis(state, SolverConfig(seed=5, restarts=20))
-        assert len(calls) == 2 * 4
+        assert calls == canonical_subsets(3)
+        assert stacked == [(4, 8, 8)]
+        assert report.ppt
         assert report.decision.n_equations == sum(8 - r.rank for r in report.profile.records)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (12,)])
+    def test_stacked_transposes_bit_for_bit(self, monkeypatch, dims):
+        # every slice of the stack is the partial transpose, and its spectrum
+        # the one a separate eigh gives it
+        rho = random_state(dims, 11)
+        eigh = np.linalg.eigh
+        stacks = []
+
+        def keeping(a, *args, **kwargs):
+            stacks.append(a.copy())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", keeping)
+        spectra = mpstate._decompose(rho)
+        monkeypatch.undo()
+        (stack,) = stacks
+        assert spectra.subsets == canonical_subsets(len(dims))
+        for k, s in enumerate(spectra.subsets):
+            pt = partial_transpose(rho, s).mat
+            assert np.array_equal(stack[k], pt)
+            w, v = np.linalg.eigh(pt)
+            assert np.array_equal(spectra.w[k], w)
+            assert np.array_equal(spectra.v[k], v)
+
+    def test_is_ppt_reads_the_profile_spectrum(self):
+        rho = random_state((2, 3), 4, rank=3)
+        ok, eigs = is_ppt(rho)
+        prof = rank_profile(rho)
+        assert eigs == {r.subset: r.min_eigenvalue for r in prof.records}
+        assert ok == edge_analysis(rho, SolverConfig(seed=1, restarts=4)).ppt
 
     @pytest.mark.parametrize(
         "dims, admitted",
@@ -321,28 +383,49 @@ class TestEdgeAnalysis:
     )
     def test_work_bound_before_any_eigendecomposition(self, monkeypatch, dims, admitted):
         # (8, 8, 8) and (2, 2, 128) sit exactly at MAX_EDGE_WORK = 4 * 512^3
-        # and (812,) just below it; the refused shapes sit just above it
-        def no_eig(*args, **kwargs):
-            raise AssertionError("eigendecomposed before checking the work bound")
-
+        # and (812,) just below it; the refused shapes sit just above it.
+        # Three restarts keep (812,) within the solver's entries floor.
         calls = []
-
-        def not_ppt(rho):
-            calls.append(rho.dims)
-            return False, {frozenset(): -1.0}
-
         monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eig)
         monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
-        monkeypatch.setattr(mpstate, "is_ppt", not_ppt)
+        monkeypatch.setattr(mpstate, "_decompose", not_ppt_spectra(calls))
         rho = maximally_mixed(dims)
         work = 2 ** (len(dims) - 1) * rho.dim**3
         assert (work <= mpstate.MAX_EDGE_WORK) == admitted
+        config = SolverConfig(restarts=3)
         if admitted:
-            assert edge_analysis(rho).classification == NOT_APPLICABLE
+            assert edge_analysis(rho, config).classification == NOT_APPLICABLE
             assert calls == [dims]
         else:
             with pytest.raises(UnsupportedSizeError, match=f"at most {mpstate.MAX_EDGE_WORK}"):
-                edge_analysis(rho)
+                edge_analysis(rho, config)
+            assert calls == []
+
+    @pytest.mark.parametrize(
+        "dims, restarts, admitted",
+        [((512,), None, True), ((513,), None, False), ((645,), None, False),
+         ((645,), 3, True), ((724,), 4, True), ((725,), 4, False), ((812,), 0, True),
+         ((812,), 9, False), ((2, 322), None, True)],
+    )
+    def test_solver_floor_before_any_eigendecomposition(
+        self, monkeypatch, dims, restarts, admitted
+    ):
+        # at least max(min(restarts, 8), 1) restarts of (2 sum(dims))^2
+        # entries each, 8 by default: 8 * 1024^2 is exactly MAX_RESTART_ENTRIES.
+        # Only one-party states reach it: (2, 322) is the widest two-party
+        # state within MAX_EDGE_WORK.
+        calls = []
+        monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eig)
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
+        monkeypatch.setattr(mpstate, "_decompose", not_ppt_spectra(calls))
+        rho = maximally_mixed(dims)
+        config = SolverConfig(restarts=restarts)
+        if admitted:
+            assert edge_analysis(rho, config).classification == NOT_APPLICABLE
+            assert calls == [dims]
+        else:
+            with pytest.raises(UnsupportedSizeError, match=f"the supported {MAX_RESTART_ENTRIES}"):
+                edge_analysis(rho, config)
             assert calls == []
 
     def test_rank_sum_at_bound_forces_witness_or_flag(self):
@@ -385,6 +468,122 @@ class TestStateFiles:
             with pytest.raises(ParseError) as exc:
                 read_state(f"dims: 2\n0 0 0.5 0\n1 1 0.5 0\n0 1 {bad}\n")
             assert exc.value.line == 4
+
+
+# A state file's entry lines; "H" is a Hermitian trace-one (2,) body.
+H = "0 0 0.5 0\n1 1 0.5 0\n0 1 0.25 0.125\n1 0 0.25 -0.125\n"
+
+# (text, whether numpy's C reader takes the entry lines itself)
+PARSER_CORPUS = [
+    ("dims: 2\n" + H, True),
+    ("dims: 2\n+0 +0 +0.5 -0\n+1 1 0.5 0\n0 1 .25 0.125\n1 0 0.25 -0.125\n", True),
+    ("dims: 2\n0 0 0.5 -0.0\n1 1 0.5 0.0\n0 1 -0.0 -0.0\n1 0 -0.0 0.0\n", True),
+    ("dims: 2\n0 0 0.5 0\n1_0 1 0.5 0\n", False),
+    ("dims: 2\n0 0 0.5 0\n0_1 1 0.5 0\n", False),
+    ("dims: 2\n0 0 0.5 0\n1 1 0.5_0 0\n", False),
+    ("dims: 2\n0 0 0.5 0\n\u0661 \u0661 0.\u0665 0\n", False),
+    ("dims: 2\n" + H + "0 1 nan 0\n", False),
+    ("dims: 2\n" + H + "0 1 0 -inf\n", False),
+    ("dims: 2\n" + H + "1 0 Infinity 0\n", False),
+    ("dims: 2\n" + H + "0 1 0.25\n", False),
+    ("dims: 2\n" + H + "0 1 0.25 0.125 0\n", False),
+    ("dims: 2\n" + H + "2 0 0.25 0.125\n", False),
+    ("dims: 2\n" + H + "0 -1 0.25 0.125\n", False),
+    ("dims: 2\n" + H + "0 1 nan 0\n0 1 0.25\n", False),
+    ("dims: 2\n" + H + "0 1 0.25\n0 1 nan 0\n", False),
+    ("dims: 2\n" + H + "0 1 0.25 0.125 # note\n", False),
+    ("dims: 2\n" + H + "1.0 1 0.5 0\n", False),
+    ("dims: 2\n" + H + "0.9 0 0.5 0\n", False),
+    ("dims: 2\n" + H + "0 2.5 0.5 0\n", False),
+    ("\n  \ndims: 2\n\n" + H.replace("\n", "  \n\n"), True),
+    ("dims: 2\r\n" + H.replace("\n", "\r\n"), True),
+    ("dims: 2\r" + H.replace("\n", "\r"), True),
+    ("dims: 2\n\t0\t0 0.5 0\n1 1\x0c0.5 0\n" + H[20:], True),
+    ("dims: 2\n0 1 9 9\n" + H + "0 0 7 0\n0 0 0.5 0\n", True),
+    ("dims: 2\n" + H.rstrip("\n"), True),
+    ("dims: 2\n", True),
+    ("dims: 2", True),
+    ("dims: 2\n0 1 0.5 0\n1 0 0.25 0\n0 0 0.5 0\n1 1 0.5 0\n", True),
+    ("dims: 2 3\n0 0 1 0\n5 5 1 0\n", True),
+]
+
+
+class TestParserPaths:
+    """numpy's C reader and the line loop read one corpus alike: the same
+    bits, or the same ParseError (message and line)."""
+
+    @staticmethod
+    def outcome(text, stream=False):
+        try:
+            rho = read_state(io.StringIO(text, newline="") if stream else text)
+        except ParseError as exc:
+            return "error", str(exc), exc.line
+        return "state", rho.dims, rho.mat.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("text, fast", PARSER_CORPUS)
+    def test_paths_agree(self, monkeypatch, text, fast):
+        taken = []
+        read_entries = mpstate._read_entries
+
+        def recording(*args):
+            mat = read_entries(*args)
+            taken.append(mat is not None)
+            return mat
+
+        monkeypatch.setattr(mpstate, "_read_entries", recording)
+        both = self.outcome(text)
+        assert taken == [fast]
+        assert self.outcome(text, stream=True) == both
+        monkeypatch.setattr(mpstate, "_read_entries", lambda *args: None)
+        assert self.outcome(text) == both
+        assert self.outcome(text, stream=True) == both
+
+    def test_unseekable_stream_read_whole(self):
+        # a pipe, as from `prodvec edge <(...)`, cannot be read twice
+        for text in ("dims: 2\n" + H, "dims: 2\n" + H.replace("0 1 ", "0_0 1 ")):
+            r, w = os.pipe()
+            with os.fdopen(w, "w") as fh:
+                fh.write(text)
+            with os.fdopen(r) as fh:
+                assert not fh.seekable()
+                rho = read_state(fh)
+            assert np.array_equal(rho.mat, read_state(text).mat)
+
+    def test_integer_via_float_warning_falls_back(self, monkeypatch):
+        # numpy from 1.23, until the deprecation expired, reads "0.9" in an
+        # integer field as 0 with only a warning; as an error it refuses
+        # the line, and the line loop names it
+        good = read_state("dims: 2\n" + H)
+        loadtxt = np.loadtxt
+
+        def truncating(stream, dtype, **kwargs):
+            flat = loadtxt(stream, **{**kwargs, "ndmin": 2})
+            if (flat[:, :2] != np.trunc(flat[:, :2])).any():
+                message = "loadtxt(): Parsing an integer via a float is deprecated"
+                warnings.warn(message, DeprecationWarning)
+            rows = np.empty(len(flat), dtype)
+            for k, name in enumerate(dtype.names):
+                rows[name] = flat[:, k]
+            return rows
+
+        monkeypatch.setattr(mpstate.np, "loadtxt", truncating)
+        with pytest.raises(ParseError, match="line 6: invalid numeric field"):
+            read_state("dims: 2\n" + H + "0.9 0 0.5 0\n")
+        assert np.array_equal(read_state("dims: 2\n" + H).mat, good.mat)
+
+    def test_last_repeated_entry_wins(self):
+        text = "dims: 2\n0 1 9 9\n" + H + "0 0 7 0\n0 0 0.5 0\n0 1 8 8\n0 1 0.25 0.125\n"
+        rho = read_state(text)
+        assert rho.mat[0, 1] == 0.25 + 0.125j
+        assert rho.mat[0, 0] == 0.5
+
+    def test_errors_name_the_first_bad_line(self):
+        with pytest.raises(ParseError, match="line 7: non-finite entry"):
+            read_state("dims: 2\n" + H + "\n0 1 nan 0\n0 1 0.25\n")
+        with pytest.raises(ParseError, match="line 6: expected 'row col re im'"):
+            read_state("dims: 2\n" + H + "0 1 0.25\n0 1 nan 0\n")
+        with pytest.raises(ParseError, match=r"line 3: index \(2, 0\) outside 0..1"):
+            read_state("\r\ndims: 2\r\n2 0 0.25 0.125\r\n" + H)
 
 
 class TestDensityMatrix:
