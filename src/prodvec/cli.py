@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--tol", dest="rank_tol", type=_rank_tol, default=mpstate.DEFAULT_RANK_TOL,
-                   help="relative rank tolerance, 0 < tol < 1 (default 1e-9)")
+                   help="relative rank tolerance, 0 < tol < 1 (default %(default)g)")
     add_out(p)
     p.set_defaults(func=_cmd_edge)
 

@@ -370,16 +370,15 @@ def read_state(source: str | TextIO) -> DensityMatrix:
     """
     if isinstance(source, str) or not source.seekable():
         source = io.StringIO(source if isinstance(source, str) else source.read(), newline=None)
-    top = source.tell()
     dims, header_line = _read_header(source)
+    body = source.tell()
     # The header alone fixes the d x d allocation and the d^2 entry lines,
     # so the edge work bound, which admits d <= 812, is checked first.
     _check_edge_work(dims)
     d = math.prod(dims)
     mat = _read_entries(source, d)
     if mat is None:
-        source.seek(top)
-        _read_header(source)
+        source.seek(body)
         mat = _read_entry_lines(source, d, header_line)
     try:
         return density_matrix(dims, mat)
@@ -388,7 +387,8 @@ def read_state(source: str | TextIO) -> DensityMatrix:
 
 
 def _read_header(stream: TextIO) -> tuple[tuple[int, ...], int]:
-    """The dims of the first non-blank line, and its line number."""
+    """The dims of the first non-blank line, and its line number, which
+    errors name; an all-blank stream's errors name line 1."""
     for lineno, line in enumerate(iter(stream.readline, ""), start=1):
         header = line.strip()
         if header:
@@ -396,7 +396,7 @@ def _read_header(stream: TextIO) -> tuple[tuple[int, ...], int]:
     else:
         header, lineno = "", 1
     if not header.startswith("dims:"):
-        raise ParseError("expected header 'dims: d1 d2 ...'", 1)
+        raise ParseError("expected header 'dims: d1 d2 ...'", lineno)
     try:
         dims = tuple(int(x) for x in header[len("dims:") :].split())
     except ValueError:

@@ -10,7 +10,9 @@ counts, parity differences, exact rank, |det|, |per|, scalar row Gram)
 and classifies the n x n matrices with vanishing permanent, n <= 6: it
 sweeps the candidates whose first row is +1 and whose other rows are
 sorted, and closes each class over its orbit, so every class costs one
-orbit build.
+orbit build.  It is the base of the exact core, importing no other
+prodvec module but ``errors``: the residue primes and the Chinese
+remainder step that ``truncpoly``'s layer walk shares live here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, UnsupportedSizeError
-from .truncpoly import _crt, _primes_over
 
 # Glynn's sum doubles with each n: on a 2-CPU Xeon host, `prodvec
 # permanent` takes 0.53 to 0.57 s on a random 24 x 24 sign matrix, the
@@ -44,6 +45,8 @@ PERMANENT_MAX_N = 24
 # times a row set aside (at most 24^4) is below 2^62.  A row set aside stays
 # in its own dtype until that last stage, never in a narrower product.
 MAX_UINT64_N = 16
+# Primes below 2^31, largest first, extended as needed; 2^31 - 1 is prime.
+_PRIMES = [(1 << 31) - 1]
 # Largest B * 2^(n-1) Glynn terms one batch_permanent call walks, checked
 # before any allocation: 1.1 to 1.4 s for 4096 random 16 x 16 matrices on a
 # 2-CPU Xeon host.
@@ -189,6 +192,32 @@ def _reduce(x: np.ndarray, q: int, quotients: np.ndarray) -> None:
     x -= quotients
 
 
+def _primes_over(bound: int) -> list[int]:
+    """The fewest leading primes below 2^31, largest first, whose product
+    exceeds ``bound``: none for bound 0, so ``_primes_over(x >> 64)`` is
+    empty while x < 2^64.  New ones are found walking down the odd numbers
+    with Miller-Rabin on bases 2, 7 and 61, which is exact below 4.7e9."""
+    q = _PRIMES[-1]
+    while math.prod(_PRIMES) <= bound:
+        q -= 2
+        s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s with d odd
+        chains = [[pow(a, (q - 1) >> s << i, q) for i in range(s)] for a in (2, 7, 61)]
+        if all(c[0] == 1 or q - 1 in c for c in chains):
+            _PRIMES.append(q)
+    count = next(i for i in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:i]) > bound)
+    return _PRIMES[:count]
+
+
+def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
+    """The x with |x| <= prod(moduli) / 2 and x = residues[i] mod moduli[i],
+    for pairwise coprime moduli, by the Chinese remainder theorem."""
+    x, mod = 0, 1
+    for q, r in zip(moduli, residues):
+        x += mod * ((r - x) * pow(mod, -1, q) % q)
+        mod *= q
+    return x - mod if 2 * x > mod else x
+
+
 def _term_product(
     rows: np.ndarray, q: int | None, out: np.ndarray, scratch: list[np.ndarray]
 ) -> None:
@@ -273,7 +302,7 @@ def permanent(m: SignMatrix) -> int:
     per(a) = 2^-(n-1) * sum over d in {+-1}^n with d_0 = +1 of
     (prod_k d_k) * prod_i (a d)_i, the one-matrix case of ``_glynn``.  Up
     to MAX_UINT64_N the walk modulo 2^64 gives the total; above it, walks
-    modulo primes from ``truncpoly._primes_over`` give the rest.
+    modulo primes from ``_primes_over`` give the rest.
     """
     if not m.is_square:
         raise ValueError("permanent requires a square matrix")
@@ -281,8 +310,9 @@ def permanent(m: SignMatrix) -> int:
     if n > PERMANENT_MAX_N:
         raise ValueError(f"permanent supports n <= {PERMANENT_MAX_N}")
     a = np.array(m.entries, dtype=np.int8)[None]
-    # 2^64 * prod(primes) must exceed 2^n * n! >= 2 * |Glynn total|
-    primes = _primes_over((math.factorial(n) << n) >> 64) if n > MAX_UINT64_N else []
+    # 2^64 * prod(primes) must exceed 2^n * n! >= 2 * |Glynn total|; no
+    # primes through MAX_UINT64_N, where 2^n * n! < 2^64
+    primes = _primes_over((math.factorial(n) << n) >> 64)
     residues = [int(_glynn(a)[0])] + [int(_glynn(a, q)[0]) for q in primes]
     return _crt(residues, [1 << 64, *primes]) >> (n - 1)
 

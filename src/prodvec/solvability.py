@@ -18,11 +18,16 @@ Verdict basis tags (one fixed rule per tag):
   The product is then that monomial alone, and its coefficient is the
   top cell of ``truncpoly.expand_product``'s layer walk.
 - ``underdetermined-nonvanishing``: N_E < N_U and the sign product is
-  nonzero in the truncated ring; infinitely many solutions.
+  nonzero in the truncated ring; infinitely many solutions.  With two
+  parties, or with three or four qubits, this rule settles every
+  underdetermined spec.  Two parties reduce to the rows (+,+) and (-,+),
+  so the product is +-(a1 + a2)^k1 (a1 - a2)^k2, a binary form whose
+  roots are real and nonzero; by Descartes' rule of signs two
+  consecutive coefficients of it are never both zero, and N_E < N_U
+  leaves at least two consecutive ones in the ring.  Three and four
+  qubits are a finite check, which the tests run.
 - ``underdetermined-full-rank``: N_E < N_U and the reduced sign matrix
   has full row rank; infinitely many solutions.
-- ``small-system``: N_E < N_U with two parties, or with all qubit factors
-  and at most four parties; infinitely many solutions.
 - ``qubit-solvable-count``: all qubit factors with party count one less
   than a power of two and N_E <= n; a solution exists (no square sign
   matrix of that order has vanishing permanent).
@@ -172,7 +177,6 @@ def verdict(spec: ProblemSpec) -> Verdict:
             product_vanishes=vanishes,
         )
 
-    all_qubits = all(d == 2 for d in red.dims)
     if n_e > n_u:
         return make(GENERICALLY_EMPTY, "overdetermined-generic", generic=True)
     if n_e == n_u and top != 0:
@@ -181,9 +185,7 @@ def verdict(spec: ProblemSpec) -> Verdict:
         return make(INFINITELY_MANY, "underdetermined-nonvanishing")
     if n_e < n_u and rank == r:
         return make(INFINITELY_MANY, "underdetermined-full-rank")
-    if n_e < n_u and (n == 2 or (all_qubits and n in (3, 4))):
-        return make(INFINITELY_MANY, "small-system")
-    if all_qubits and n >= 3 and (n + 1) & n == 0 and n_e <= n:
+    if set(red.dims) == {2} and n >= 3 and (n + 1) & n == 0 and n_e <= n:
         return make(EXISTS_NONZERO, "qubit-solvable-count")
     return make(INCONCLUSIVE, None)
 

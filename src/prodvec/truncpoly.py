@@ -20,9 +20,9 @@ count of the deg! / prod m_j! words that spell m, so the largest such
 multinomial on the ring bounds it.  While twice that bound is below 2^64
 the walk adds in uint64 modulo 2^64 and reads the coefficients back as
 int64.  Above it, the layer carries one residue row per prime from
-``_primes_over``: each step adds n * q before reducing modulo q, as the
-true sum lies in (-nq, nq), and CRT over [2^64, *primes] rebuilds each
-coefficient, as ``signmat.permanent`` does.
+``signmat._primes_over``: each step adds n * q before reducing modulo q,
+as the true sum lies in (-nq, nq), and CRT over [2^64, *primes] rebuilds
+each coefficient, as ``signmat.permanent`` does.
 
 A critical product (sum k_i = sum_j (d_j - 1)) is its top monomial alone:
 the walk's last layer is zero but for the top cell, per(M) / prod_j
@@ -43,6 +43,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import UnsupportedSizeError
+from .signmat import SignMatrix, _crt, _primes_over, sign_matrix
 
 Exponents = tuple[int, ...]
 
@@ -54,29 +55,6 @@ Exponents = tuple[int, ...]
 # layer to walk.  An underdetermined verdict takes about as long as a
 # critical one on the same ring.
 MAX_RING_CELLS = 1 << 20
-# A coefficient of a^m in a product of deg signed forms is a signed count
-# of the deg! / prod m_j! words that spell m, so ``_coefficient_bound``, the
-# largest such multinomial on the ring, bounds it.  While twice that bound
-# is below _UINT64_BOUND the layer walk adds in uint64 modulo 2^64, and a
-# coefficient read back as int64 is exact: the partial sums are not
-# bounded, only the final ones.
-_UINT64_BOUND = 1 << 64
-# Primes below 2^31, largest first, extended as needed; 2^31 - 1 is prime.
-_PRIMES = [(1 << 31) - 1]
-
-
-def _sign_rows(sigma) -> tuple[tuple[int, ...], ...]:
-    """Accept a SignMatrix-like object (``.entries``) or a plain row sequence."""
-    rows = getattr(sigma, "entries", sigma)
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if not out:
-        raise ValueError("sign matrix must have at least one row")
-    n = len(out[0])
-    if n == 0 or any(len(row) != n for row in out):
-        raise ValueError("sign matrix rows must all have the same positive length")
-    if not {x for row in out for x in row} <= {-1, 1}:
-        raise ValueError("sign matrix entries must be +1 or -1")
-    return out
 
 
 class TruncatedPolynomial:
@@ -145,7 +123,7 @@ class TruncatedPolynomial:
 
 
 def _checked(sigma, powers: Sequence[int], dims: Sequence[int]):
-    """(rows, powers, dims) as int tuples; refuses large rings before reading the rows."""
+    """(rows, powers, dims); refuses large rings before reading the rows."""
     dims = tuple(int(d) for d in dims)
     if math.prod(dims) > MAX_RING_CELLS:
         raise UnsupportedSizeError(
@@ -153,7 +131,7 @@ def _checked(sigma, powers: Sequence[int], dims: Sequence[int]):
         )
     if any(d < 1 for d in dims):
         raise ValueError("dims must be positive integers")
-    rows = _sign_rows(sigma)
+    rows = (sigma if isinstance(sigma, SignMatrix) else sign_matrix(sigma)).entries
     powers = tuple(int(k) for k in powers)
     if len(powers) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(powers)} powers")
@@ -179,10 +157,11 @@ def _layer(shape: tuple[int, ...]):
 def expand_product(sigma, powers: Sequence[int], dims: Sequence[int]) -> TruncatedPolynomial:
     """Expand prod_i (sum_j sigma[i][j] * a_j)^{powers[i]} in the truncated ring.
 
-    ``sigma`` is an r x n matrix of +-1 signs (a SignMatrix or any row
-    sequence); ``powers`` has one non-negative exponent per row and
-    ``dims`` one truncation degree per variable.  All arithmetic is exact.
-    Rings of more than MAX_RING_CELLS cells are refused.
+    ``sigma`` is an r x n matrix of +-1 signs: a SignMatrix, taken as it
+    is, or rows that ``sign_matrix`` accepts.  ``powers`` has one
+    non-negative exponent per row and ``dims`` one truncation degree per
+    variable.  All arithmetic is exact.  Rings of more than MAX_RING_CELLS
+    cells are refused before the rows are read.
     """
     rows, powers, dims = _checked(sigma, powers, dims)
     n, deg = len(dims), sum(powers)
@@ -196,8 +175,9 @@ def expand_product(sigma, powers: Sequence[int], dims: Sequence[int]) -> Truncat
     sign = (-1) ** sum(k for row, k in zip(rows, powers) if row[last] < 0)
     if not axes:
         return TruncatedPolynomial._trusted(dims, {tuple(deg * (j == last) for j in range(n)): sign})
-    bound = 2 * _coefficient_bound(deg, dims)
-    primes = _primes_over(bound >> 64) if bound >= _UINT64_BOUND else []
+    # twice the largest multinomial on the ring bounds twice any
+    # coefficient; below 2^64 the uint64 walk alone is exact, with no primes
+    primes = _primes_over(2 * _coefficient_bound(deg, dims) >> 64)
     shape = tuple(dims[j] for j in axes)
     level, shifts = _layer(shape)
     bufs = [np.zeros((1 + len(primes), *shape), dtype=np.uint64) for _ in range(2)]
@@ -258,40 +238,6 @@ def _coefficient_bound(deg: int, dims: tuple[int, ...]) -> int:
     return _multinomial_count(m)
 
 
-def _primes_over(bound: int) -> list[int]:
-    """The leading primes below 2^31, largest first, whose product exceeds
-    ``bound``.  New ones are found walking down the odd numbers with
-    Miller-Rabin on bases 2, 7 and 61, which is exact below 4.7e9."""
-    q = _PRIMES[-1]
-    while math.prod(_PRIMES) <= bound:
-        q -= 2
-        s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s with d odd
-        chains = [[pow(a, (q - 1) >> s << i, q) for i in range(s)] for a in (2, 7, 61)]
-        if all(c[0] == 1 or q - 1 in c for c in chains):
-            _PRIMES.append(q)
-    count = next(i for i in range(1, len(_PRIMES) + 1) if math.prod(_PRIMES[:i]) > bound)
-    return _PRIMES[:count]
-
-
-def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """The x with |x| <= prod(moduli) / 2 and x = residues[i] mod moduli[i],
-    for pairwise coprime moduli, by the Chinese remainder theorem."""
-    x, mod = 0, 1
-    for q, r in zip(moduli, residues):
-        x += mod * ((r - x) * pow(mod, -1, q) % q)
-        mod *= q
-    return x - mod if 2 * x > mod else x
-
-
-def _multinomial(k: int, parts: Sequence[int]) -> int:
-    if any(c < 0 for c in parts):
-        return 0
-    out = math.factorial(k)
-    for c in parts:
-        out //= math.factorial(c)
-    return out
-
-
 def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
     """All ways to write ``total`` as a sum over positions, entry j at most bounds[j]."""
     n = len(bounds)
@@ -312,13 +258,13 @@ def coefficient_direct(sigma, powers: Sequence[int], exponents: Sequence[int]) -
     """Untruncated coefficient of a^m in prod_i (sigma_i . a)^{k_i}, by direct expansion.
 
     Sums over all splittings m_j = sum_i c_{i,j} with sum_j c_{i,j} = k_i
-    of prod_i multinomial(k_i; c_i) * prod_j sigma[i][j]^{c_{i,j}}; a
-    multinomial with a negative entry counts as 0.  This is the slow
+    of prod_i multinomial(k_i; c_i) * prod_j sigma[i][j]^{c_{i,j}}, with
+    ``sigma`` read as in :func:`expand_product`.  This is the slow
     independent cross-check for :func:`expand_product`, valid for any m
     with |m| = |k| (including exponents at or beyond the truncation
     bounds, where the ring coefficient is defined as 0).
     """
-    rows = _sign_rows(sigma)
+    rows = (sigma if isinstance(sigma, SignMatrix) else sign_matrix(sigma)).entries
     powers = tuple(int(k) for k in powers)
     m = tuple(int(e) for e in exponents)
     if len(powers) != len(rows):
@@ -337,7 +283,7 @@ def coefficient_direct(sigma, powers: Sequence[int], exponents: Sequence[int]) -
             return 1 if all(v == 0 for v in remaining) else 0
         total = 0
         for comp in _bounded_compositions(powers[i], remaining):
-            weight = _multinomial(powers[i], comp)
+            weight = _multinomial_count(comp)
             for s, c in zip(rows[i], comp):
                 if c and s < 0 and c % 2:
                     weight = -weight

@@ -526,10 +526,11 @@ class TestExitCodes:
     def test_oversized_ring_is_1(self, capsys, tmp_path, monkeypatch):
         # (12,)^6 has 2,985,984 cells; 60 equations keep the spec below the
         # 66 unknowns, so verdict would expand it
-        def no_rows(sigma):
-            raise AssertionError("read the sign rows before checking the ring size")
+        def fail(*args):
+            raise AssertionError("worked on the ring before checking its size")
 
-        monkeypatch.setattr(truncpoly, "_sign_rows", no_rows)
+        monkeypatch.setattr(truncpoly, "_coefficient_bound", fail)
+        monkeypatch.setattr(truncpoly, "_layer", fail)
         cons = [{"subset": s, "codim": 12} for s in ([], [1], [2], [3], [1, 2])]
         path = tmp_path / "ring.json"
         path.write_text(json.dumps({"dims": [12] * 6, "constraints": cons}))
@@ -541,11 +542,12 @@ class TestExitCodes:
     def test_oversized_critical_ring_is_1(self, capsys, tmp_path, monkeypatch):
         # (12,)^6 again, now with 66 equations for the 66 unknowns: verdict
         # reads the top coefficient from the expansion, which must refuse
-        # before it reads the rows or walks the ring
+        # before it bounds its coefficients or walks the ring
         def fail(*args, **kwargs):
-            raise AssertionError("read the rows or walked the ring before checking its size")
+            raise AssertionError("worked on the ring before checking its size")
 
-        monkeypatch.setattr(truncpoly, "_sign_rows", fail)
+        monkeypatch.setattr(truncpoly, "_coefficient_bound", fail)
+        monkeypatch.setattr(truncpoly, "_layer", fail)
         monkeypatch.setattr(truncpoly.np, "arange", fail)
         monkeypatch.setattr(truncpoly.np, "unravel_index", fail)
         codims = (12, 12, 12, 12, 18)
@@ -563,10 +565,10 @@ class TestExitCodes:
     def test_oversized_overdetermined_ring_is_0(self, capsys, tmp_path, monkeypatch):
         # (12,)^6 with 70 equations for the 66 unknowns: the sign product is
         # 0 by its degree alone, so verdict answers without the ring
-        def no_rows(sigma):
-            raise AssertionError("read the sign rows of an overdetermined spec")
+        def fail(*args):
+            raise AssertionError("expanded the sign product of an overdetermined spec")
 
-        monkeypatch.setattr(truncpoly, "_sign_rows", no_rows)
+        monkeypatch.setattr(truncpoly, "expand_product", fail)
         cons = [{"subset": s, "codim": 14} for s in ([], [1], [2], [3], [1, 2])]
         path = tmp_path / "ring.json"
         path.write_text(json.dumps({"dims": [12] * 6, "constraints": cons}))

@@ -15,7 +15,6 @@ from prodvec.signmat import (
     permanent_naive,
     sign_matrix,
 )
-from prodvec.truncpoly import _primes_over
 from signmat_oracles import find_vanishing, permanent_addition
 
 
@@ -118,7 +117,7 @@ class TestNonGlynnOracles:
         ones = np.ones((n, n), dtype=np.int8)
         ones[n - 1] = -1
         total = -math.factorial(n) << (n - 1)
-        primes = _primes_over((math.factorial(n) << n) >> 64)
+        primes = signmat._primes_over((math.factorial(n) << n) >> 64)
         assert len(primes) == 2
         for q in primes:
             # one matrix per walk, whose stack is one long row per row sum

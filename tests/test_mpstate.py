@@ -455,6 +455,17 @@ class TestStateFiles:
         else:
             raise AssertionError("expected ParseError")
 
+    def test_bad_header_names_its_line(self):
+        # the header is the first non-blank line, wherever it is; a file of
+        # blank lines alone has its error on line 1
+        for text in ("\n\ndimz: 2\n", "\n\ndims: x\n", "\n \ndims: 1\n"):
+            with pytest.raises(ParseError) as exc:
+                read_state(text)
+            assert exc.value.line == 3
+        for text in ("", "\n\n"):
+            with pytest.raises(ParseError, match="line 1: expected header"):
+                read_state(text)
+
     def test_index_bounds_checked(self):
         with pytest.raises(ParseError):
             read_state("dims: 2\n5 0 1.0 0.0\n")

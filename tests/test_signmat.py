@@ -3,7 +3,10 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,3 +716,21 @@ class TestIntegerRank:
         assert integer_rank(SIGMA_2.entries) == 3
         assert integer_rank(SIGMA_3.entries) == 4
         assert integer_rank([[2, 4], [1, 2]]) == 1
+
+
+def test_imports_run_one_way():
+    # solvability -> truncpoly -> signmat.  Importing prodvec.signmat runs
+    # the package's __init__, which imports every module, so a fresh
+    # interpreter loads the modules into an empty package of the same path.
+    code = (
+        "import sys, types\n"
+        "pkg = sys.modules['prodvec'] = types.ModuleType('prodvec')\n"
+        "pkg.__path__ = [sys.argv[1]]\n"
+        "import prodvec.signmat\n"
+        "assert 'prodvec.truncpoly' not in sys.modules, 'signmat imports truncpoly'\n"
+        "import prodvec.truncpoly\n"
+        "assert 'prodvec.solvability' not in sys.modules, 'truncpoly imports solvability'\n"
+    )
+    path = str(Path(signmat.__file__).parent)
+    done = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 """Decision engine: reduction, counting, verdicts, generic counts."""
 
+import itertools
 import random
 
 import pytest
@@ -203,6 +204,24 @@ class TestVerdict:
         assert v.sigma_rank == 4
         assert v.kind == INFINITELY_MANY
         assert v.basis == "underdetermined-nonvanishing"
+
+    def test_small_systems_never_vanish(self):
+        # With two parties, or with three or four qubits, no underdetermined
+        # sign product vanishes (see the module docstring), so the
+        # nonvanishing rule settles every reduced spec there: 838 of them
+        # with two parties up to (7, 7), three qubits and four qubits.
+        shapes = [(a, b) for b in range(2, 8) for a in range(2, b + 1)] + [(2,) * 3, (2,) * 4]
+        specs = 0
+        for dims in shapes:
+            n, n_u = len(dims), sum(d - 1 for d in dims)
+            # the subsets without party 1 stand for the classes modulo complement
+            classes = [s for r in range(n) for s in itertools.combinations(range(2, n + 1), r)]
+            for codims in itertools.product(range(n_u), repeat=len(classes)):
+                if sum(codims) < n_u:
+                    spec = problem_spec(dims, [(s, k) for s, k in zip(classes, codims) if k])
+                    assert verdict(spec).basis == "underdetermined-nonvanishing", spec
+                    specs += 1
+        assert specs == 838
 
     def test_qubit_square_permanent_dichotomy(self):
         rng = random.Random(29)

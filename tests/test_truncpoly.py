@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from prodvec import truncpoly
+from prodvec import signmat, truncpoly
 from prodvec.signmat import permanent, sign_matrix
 from prodvec.truncpoly import TruncatedPolynomial, coefficient_direct, expand_product
 
@@ -103,6 +103,23 @@ class TestExpandProduct:
         with pytest.raises(ValueError):
             expand_product([[1, -1]], [1], (2, 2, 2))
 
+    def test_rows_validated_once(self, monkeypatch):
+        # other rows go through sign_matrix; a SignMatrix, validated when it
+        # was built, is taken as it is
+        for rows in ([], [[]], [[1, 0]], [[1, 1], [1]], ["+x"]):
+            with pytest.raises(ValueError):
+                expand_product(rows, [1] * len(rows), (2, 2))
+            with pytest.raises(ValueError):
+                coefficient_direct(rows, [1] * len(rows), (1, 0))
+        sigma = sign_matrix(["++", "-+"])
+
+        def fail(rows):
+            raise AssertionError("validated a SignMatrix again")
+
+        monkeypatch.setattr(truncpoly, "sign_matrix", fail)
+        assert expand_product(sigma, [1, 1], (3, 3)).coeffs == {(0, 2): 1, (2, 0): -1}
+        assert coefficient_direct(sigma, [1, 1], (0, 2)) == 1
+
 
 @pytest.fixture
 def primes_taken(monkeypatch):
@@ -189,7 +206,7 @@ class TestLayerWalk:
             assert len(p.coeffs) == (deg + 1) * (deg + 2) // 2
             for m, c in p.coeffs.items():
                 assert c == truncpoly._multinomial_count(m) * math.prod(s**e for s, e in zip(row, m))
-        assert [len(t) for t in primes_taken] == ([count] * 2 if count else [])
+        assert [len(t) for t in primes_taken] == [count] * 2
         top = max(abs(c) for c in p.coeffs.values())
         if count:
             assert 2 * top > (1 << 64) * math.prod(primes_taken[0][:-1])
@@ -416,8 +433,11 @@ class TestCriticalTop:
 
     def test_primes(self):
         bound = 2 * top_bound((1024, 1024))
-        primes = truncpoly._primes_over(bound)
+        primes = signmat._primes_over(bound)
         assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        # a bound below 2^64, shifted down by 64 bits, takes no primes
+        assert signmat._primes_over(0) == []
+        assert signmat._primes_over(1) == primes[:1]
         assert primes == sorted(set(primes), reverse=True)
         assert primes[0] == 2**31 - 1
         odd = np.arange(3, math.isqrt(2**31) + 1, 2)
