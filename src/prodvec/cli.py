@@ -155,23 +155,6 @@ def parse_spec_text(
     return spec, explicit
 
 
-def format_spec_text(
-    spec: solvability.ProblemSpec,
-    constraints: Sequence[solver.SubspaceConstraint] | None = None,
-) -> str:
-    recs = []
-    for idx, c in enumerate(spec.constraints):
-        rec: dict = {"subset": sorted(c.subset), "codim": c.codim}
-        if constraints is not None:
-            basis = constraints[idx].complement_basis
-            rec["complement_basis"] = [
-                [format_complex(z) for z in row] for row in basis
-            ]
-        recs.append(rec)
-    doc = {"dims": list(spec.dims), "constraints": recs}
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # -- report rendering -----------------------------------------------------------
 
 

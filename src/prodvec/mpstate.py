@@ -81,16 +81,25 @@ def density_matrix(dims: Sequence[int], mat) -> DensityMatrix:
     for bit.
     """
     dims = tuple(int(d) for d in dims)
-    mat = np.asarray(mat, dtype=complex)
-    if not np.isfinite(mat).all():
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    # the largest modulus of a real or imaginary part; NaN or inf when an
+    # entry is not finite
+    top = np.abs(mat.view(float)).max()
+    if not np.isfinite(top):
         raise ValueError("matrix has non-finite entries")
+    # entries so large that the symmetrization or the trace below would
+    # overflow are scaled down by a power of two, which is exact; the trace
+    # test and its error still speak of the matrix as given
+    limit = np.finfo(float).max / (4 * mat.size)
+    scale = math.ldexp(1.0, -math.frexp(top / limit)[1]) if top > limit else 1.0
+    mat = mat * scale
     if np.abs(mat - mat.conj().T).max() > 1e-10:
         raise ValueError("matrix is not Hermitian within 1e-10")
     mat = (mat + mat.conj().T) / 2.0
     tr = float(np.trace(mat).real)
     # a negative trace would flip the sign of every eigenvalue
-    if tr < 1e-12:
-        raise ValueError(f"matrix trace {tr:.3e} is not positive")
+    if tr < 1e-12 * scale:
+        raise ValueError(f"matrix trace {tr / scale:.3e} is not positive")
     if abs(tr - 1.0) > 1e-12:
         mat = mat / tr
     return DensityMatrix(dims, mat)
@@ -267,10 +276,10 @@ class EdgeReport:
     ``classification`` is one of: ``not-applicable`` (input not PPT),
     ``not-edge`` (a product vector compatible with all ranges was found;
     ``witness`` holds it), ``candidate-edge`` (no vector found and the
-    rank-sum inequality holds), or ``inconsistent-with-rank-bound`` (no
-    vector found although the rank sum meets or exceeds the bound; the
-    bound's validity is open in some systems, so this is flagged rather
-    than treated as an error).
+    rank-sum inequality holds: the verdict's N_E > N_U), or
+    ``inconsistent-with-rank-bound`` (no vector found although
+    N_E <= N_U; the bound's validity is open in some systems, so this is
+    flagged rather than treated as an error).
     """
 
     classification: str
@@ -305,13 +314,18 @@ def edge_analysis(
     Builds one membership constraint per canonical subset S (the
     conjugated product vector must lie in the range of the transposed
     state), runs the exact decision engine on the codimension profile
-    and the numerical solver on the explicit ranges, and evaluates the
-    rank-sum inequality.  A state whose 2^(n-1) D^3 exceeds MAX_EDGE_WORK,
-    or whose cheapest solve (no constraints at all) ``restart_count``
-    refuses, raises UnsupportedSizeError before any eigendecomposition,
-    PPT or not; an admitted state whose solve is too large is refused by
-    ``solve``.  The PPT test and the profile read one decomposition,
-    dropped once the profile has copied out its complements.
+    and the numerical solver on the explicit ranges, and reads the
+    rank-sum inequality sum rank < ``profile.bound`` off the verdict as
+    N_E > N_U.  The two agree: sum rank = 2^(n-1) D - N_E and the bound
+    is 2^(n-1) D - N_U, and ``reduce`` keeps these constraints as they
+    are, since no canonical subset contains party 1 (so no two are equal
+    or complementary) and every codim is at most D.  A state whose
+    2^(n-1) D^3 exceeds MAX_EDGE_WORK, or whose cheapest solve (no
+    constraints at all) ``restart_count`` refuses, raises
+    UnsupportedSizeError before any eigendecomposition, PPT or not; an
+    admitted state whose solve is too large is refused by ``solve``.
+    The PPT test and the profile read one decomposition, dropped once
+    the profile has copied out its complements.
     """
     config = config or SolverConfig()
     _check_edge_work(rho.dims)
@@ -326,7 +340,7 @@ def edge_analysis(
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)
     report = solve(constraints, rho.dims, config)
-    inequality = profile.sum_of_ranks < profile.bound
+    inequality = decision.n_equations > decision.n_unknowns
     if report.solutions:
         witness = report.solutions[0].vector
         cls = NOT_EDGE

@@ -518,12 +518,6 @@ def _unpack(codes, k: int) -> np.ndarray:
     return 2 * bits - 1
 
 
-def encode_pattern(m: SignMatrix) -> int:
-    """``_pack`` of the row-major entries, so comparing encodings orders
-    matrices as the canonical form does."""
-    return int(_pack(m.to_numpy().ravel()))
-
-
 def decode_pattern(p: int, n: int) -> SignMatrix:
     return SignMatrix(tuple(map(tuple, _unpack(p, n * n).reshape(n, n).tolist())))
 

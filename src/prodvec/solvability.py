@@ -28,9 +28,15 @@ Verdict basis tags (one fixed rule per tag):
   qubits are a finite check, which the tests run.
 - ``underdetermined-full-rank``: N_E < N_U and the reduced sign matrix
   has full row rank; infinitely many solutions.
-- ``qubit-solvable-count``: all qubit factors with party count one less
-  than a power of two and N_E <= n; a solution exists (no square sign
-  matrix of that order has vanishing permanent).
+
+Specs on n = 2^m - 1 qubits with N_E <= n need no rule of their own: no
++-1 matrix of that order has a vanishing permanent (Wanless, "Permanents
+of matrices of signed ones", Linear Multilinear Algebra 2005).  Let P be
+the sign product and l_+ the all-plus row.  In the qubit ring the
+coefficient of a_1...a_n in P * l_+^(n - N_E) is per(M), for the n x n
+matrix M with row sigma_i repeated k_i times and l_+ repeated n - N_E
+times.  So per(M) != 0 forces P != 0, and ``critical-top-coefficient``
+(N_E = n) or ``underdetermined-nonvanishing`` (N_E < n) settles the spec.
 
 A zero sign product never certifies nonexistence: whether nonexistence
 can follow from vanishing alone is open, so the engine answers
@@ -185,8 +191,6 @@ def verdict(spec: ProblemSpec) -> Verdict:
         return make(INFINITELY_MANY, "underdetermined-nonvanishing")
     if n_e < n_u and rank == r:
         return make(INFINITELY_MANY, "underdetermined-full-rank")
-    if set(red.dims) == {2} and n >= 3 and (n + 1) & n == 0 and n_e <= n:
-        return make(EXISTS_NONZERO, "qubit-solvable-count")
     return make(INCONCLUSIVE, None)
 
 

@@ -155,13 +155,6 @@ class SubspaceConstraint:
         return self.complement_basis.shape[0]
 
 
-def subspace_constraint(subset, basis) -> SubspaceConstraint:
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim == 1:
-        basis = basis[None, :]
-    return SubspaceConstraint(frozenset(int(j) for j in subset), basis)
-
-
 def stream_seed(seed: int) -> int:
     """The seed a stream keyed by ``seed`` uses, and reports echo: seed mod 2^64."""
     return int(seed) & (2**64 - 1)

@@ -1,6 +1,7 @@
-"""Independent references for the sign-matrix tests: the brute vanishing
-sweep, the permanent of a sum by complementary minors, and classification
-by one ``canonical_form`` per vanishing candidate."""
+"""Independent references for the sign-matrix tests: the pattern encoder,
+the brute vanishing sweep, the permanent of a sum by complementary
+minors, and classification by one ``canonical_form`` per vanishing
+candidate."""
 
 import itertools
 from collections.abc import Sequence
@@ -11,6 +12,12 @@ from prodvec import signmat
 from prodvec.errors import UnsupportedSizeError
 
 ADDITION_MAX_N = 8
+
+
+def encode_pattern(m: signmat.SignMatrix) -> int:
+    """``_pack`` of the row-major entries, so comparing encodings orders
+    matrices as the canonical form does."""
+    return int(signmat._pack(m.to_numpy().ravel()))
 
 
 def find_vanishing(n: int, normalized: bool) -> np.ndarray:
@@ -83,4 +90,4 @@ def canonical_codes(n: int, count: int | None = None) -> list[int]:
     mats = np.concatenate(list(signmat._sorted_rows(n)))
     vanishing = mats[signmat.batch_permanent(mats) == 0][:count].tolist()
     forms = (signmat.canonical_form(signmat.sign_matrix(m)) for m in vanishing)
-    return [signmat.encode_pattern(f) for f in forms]
+    return [encode_pattern(f) for f in forms]

@@ -26,7 +26,6 @@ from prodvec.signmat import (
     canonical_form,
     classify_vanishing,
     decode_pattern,
-    encode_pattern,
     equivalent,
     invariants,
     permanent,
@@ -44,10 +43,10 @@ from prodvec.solver import (
     SolverConfig,
     random_instance,
     solve,
-    subspace_constraint,
 )
 from prodvec.truncpoly import coefficient_direct, expand_product
 from signmat_oracles import find_vanishing, permanent_addition
+from test_solver import subspace_constraint
 
 
 class criterion:

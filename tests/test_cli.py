@@ -1,7 +1,9 @@
 """CLI: parsing, reports, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
+import random
 import time
 import warnings
 
@@ -24,6 +26,20 @@ EX25_DOC = {
         {"subset": [], "codim": 1},
     ],
 }
+
+
+def format_spec_text(spec, constraints=None):
+    """The spec file ``cli.parse_spec_text`` reads back as ``spec`` and,
+    when given, the explicit ``constraints``."""
+    recs = []
+    for idx, c in enumerate(spec.constraints):
+        rec = {"subset": sorted(c.subset), "codim": c.codim}
+        if constraints is not None:
+            basis = constraints[idx].complement_basis
+            rec["complement_basis"] = [[cli.format_complex(z) for z in row] for row in basis]
+        recs.append(rec)
+    doc = {"dims": list(spec.dims), "constraints": recs}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def run(capsys, argv):
@@ -89,13 +105,13 @@ class TestSpecFiles:
     def test_round_trip_with_bases(self):
         spec = problem_spec((2, 2), [({2}, 1), ((), 2)])
         explicit = random_instance(spec, 21)
-        text = cli.format_spec_text(spec, explicit)
+        text = format_spec_text(spec, explicit)
         spec2, explicit2 = cli.parse_spec_text(text)
         assert spec2 == spec
         for a, b in zip(explicit, explicit2):
             assert a.subset == b.subset
             assert np.array_equal(a.complement_basis, b.complement_basis)
-        assert cli.format_spec_text(spec2, explicit2) == text
+        assert format_spec_text(spec2, explicit2) == text
 
 
 class TestCommands:
@@ -774,3 +790,118 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["permanent", "x.mat", "--frobnicate"])
         assert exc.value.code == 2
+
+
+class TestSeededFuzz:
+    """Seeded random spec, state and sign-matrix files, valid and broken,
+    through ``cli.main`` in process: every call exits 0, 1 or 2, with no
+    uncaught exception and no RuntimeWarning."""
+
+    @staticmethod
+    def corrupt(rng, text):
+        """``text`` unchanged, truncated, or with one character or line replaced."""
+        roll = rng.random()
+        if roll < 0.6 or not text:
+            return text
+        k = rng.randrange(len(text))
+        if roll < 0.7:
+            return text[:k]
+        if roll < 0.85:
+            return text[:k] + rng.choice("x-+.e:[]{}\n 0") + text[k + 1 :]
+        lines = text.splitlines()
+        lines[rng.randrange(len(lines))] = rng.choice(["", "0 0 nan 0", "9 9 1 0", "dims: 2", "x"])
+        return "\n".join(lines) + "\n"
+
+    def spec_text(self, rng):
+        n = rng.randint(1, 3)
+        dims = [rng.choice((2, 2, 3, 4)) for _ in range(n)]
+        cons = [
+            (sorted(rng.sample(range(1, n + 1), rng.randint(0, n))), rng.randint(0, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+        if rng.random() < 0.3:
+            spec = problem_spec(dims, cons)
+            return format_spec_text(spec, random_instance(spec, rng.randrange(2**32)))
+        if rng.random() < 0.1:
+            dims[0] = rng.choice((0, 1, -2, 2**40))
+        doc = {"dims": dims, "constraints": [{"subset": s, "codim": k} for s, k in cons]}
+        return self.corrupt(rng, json.dumps(doc))
+
+    def state_text(self, rng):
+        dims = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(1, 3)))
+        d = int(np.prod(dims))
+        roll = rng.random()
+        if roll < 0.3:
+            rank = rng.randint(1, d)
+            return self.corrupt(rng, write_state(mpstate.random_state(dims, rng.randrange(99), rank)))
+        if roll < 0.5:
+            vectors = [
+                product_vector([np.exp(2j * np.pi * np.arange(k) * rng.random()) for k in dims])
+                for _ in range(rng.randint(1, 3))
+            ]
+            rho = build_separable(vectors, [1 / len(vectors)] * len(vectors))
+            return self.corrupt(rng, write_state(rho))
+        # entries up to the largest float: a trace-one state scaled up, or
+        # Hermitian or arbitrary entries near 1e308
+        head = "dims: " + " ".join(map(str, dims)) + "\n"
+        if roll < 0.7:
+            scale = rng.choice((6e307, 1.5e308, 1.79e308))
+            mat = mpstate.random_state(dims, rng.randrange(99)).mat * scale
+        else:
+            re = np.array([[rng.uniform(-1, 1) * 1.7e308 for _ in range(d)] for _ in range(d)])
+            mat = re + 0j
+            if roll < 0.85:
+                mat = np.triu(mat) + np.triu(mat, 1).T
+        body = "".join(
+            f"{i} {j} {float(z.real)!r} {float(z.imag)!r}\n" for (i, j), z in np.ndenumerate(mat)
+        )
+        return head + body
+
+    def matrix_text(self, rng, rows, cols):
+        text = "\n".join("".join(rng.choice("+-") for _ in range(cols)) for _ in range(rows))
+        return self.corrupt(rng, text + "\n")
+
+    def test_seeded_files_exit_cleanly(self, tmp_path, capsys):
+        rng = random.Random(27)
+        files = itertools.count()
+
+        def path(text):
+            p = tmp_path / f"f{next(files)}"
+            p.write_text(text)
+            return str(p)
+
+        calls = []
+        for _ in range(60):
+            spec = path(self.spec_text(rng))
+            calls += [["verdict", spec], ["solve", spec, "--restarts", "2"]]
+        for _ in range(60):
+            calls.append(["edge", path(self.state_text(rng)), "--restarts", "2"])
+        for _ in range(60):
+            n = rng.randint(1, 7) if rng.random() < 0.8 else rng.choice((25, 129))
+            m = path(self.matrix_text(rng, n, n if rng.random() < 0.8 else rng.randint(1, 7)))
+            calls += [["invariants", m], ["permanent", m]]
+        pairs = []
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            a = signmat.sign_matrix(["".join(rng.choice("+-") for _ in range(n)) for _ in range(n)])
+            b = a
+            for _ in range(rng.randint(0, 8)):
+                kind = rng.choice(signmat.OP_KINDS)
+                b = signmat.apply_op(b, signmat.EquivalenceOp(kind, rng.randrange(n), rng.randrange(n)))
+            if rng.random() < 0.3:
+                b_text = self.matrix_text(rng, n, n)
+            else:
+                b_text = signmat.format_matrix(b) + "\n"
+                pairs.append(len(calls))
+            calls.append(["equivalent", path(signmat.format_matrix(a) + "\n"), path(b_text)])
+        exits = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k, argv in enumerate(calls):
+                rc, out, _ = run(capsys, argv)
+                assert rc in (0, 1, 2), argv
+                exits.setdefault(argv[0], set()).add(rc)
+                if k in pairs and rc == 0:
+                    assert out.endswith("equivalent: true\n")
+        assert all(0 in codes for codes in exits.values()), exits
+        assert {rc for codes in exits.values() for rc in codes} == {0, 1, 2}

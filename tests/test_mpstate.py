@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import math
 import os
 import warnings
 
@@ -27,7 +28,15 @@ from prodvec.mpstate import (
     read_state,
     write_state,
 )
-from prodvec.solver import MAX_RESTART_ENTRIES, SolverConfig, product_vector, residual
+from prodvec.solvability import reduce, verdict
+from prodvec.solver import (
+    MAX_RESTART_ENTRIES,
+    SolverConfig,
+    SubspaceConstraint,
+    product_vector,
+    residual,
+    spec_of_constraints,
+)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -428,6 +437,32 @@ class TestEdgeAnalysis:
                 edge_analysis(rho, config)
             assert calls == []
 
+    def test_rank_inequality_is_the_verdict_count(self):
+        # sum rank = 2^(n-1) D - N_E and bound = 2^(n-1) D - N_U, and reduce
+        # keeps the canonical constraints as they are, so edge_analysis
+        # reads the inequality off its verdict
+        seen = set()
+        for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 4), (2, 2, 2, 2)]:
+            d = math.prod(dims)
+            for seed, rank in itertools.product((1, 2, 3), range(1, d + 1)):
+                profile = rank_profile(random_state(dims, seed, rank))
+                constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
+                spec = spec_of_constraints(dims, constraints)
+                assert reduce(spec) == spec
+                v = verdict(spec)
+                inequality = profile.sum_of_ranks < profile.bound
+                assert inequality == (v.n_equations > v.n_unknowns)
+                seen.add(inequality)
+        assert seen == {True, False}
+        # separable 2 (x) 2 states of 2, 3 and 4 product vectors: above, at
+        # and below the critical count N_E = N_U = 2
+        for count, n_e in [(2, 4), (3, 2), (4, 0)]:
+            state = build_separable(random_vectors(count, (2, 2), count), [1 / count] * count)
+            report = edge_analysis(state, SolverConfig(seed=1, restarts=2))
+            assert report.decision.n_equations == n_e
+            profile = report.profile
+            assert report.inequality_satisfied == (profile.sum_of_ranks < profile.bound) == (n_e > 2)
+
     def test_rank_sum_at_bound_forces_witness_or_flag(self):
         report = edge_analysis(maximally_mixed((2, 2, 2)), SolverConfig(seed=3))
         assert report.profile.sum_of_ranks == 32 >= report.profile.bound
@@ -473,6 +508,22 @@ class TestStateFiles:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ParseError):
             read_state("dims: 2\n0 1 1.0 0.0\n1 0 0.5 0.0\n0 0 0.5 0.0\n1 1 0.5 0.0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the symmetrization overflowed to NaN ranks
+            "dims: 2\n0 0 1.5e308 0\n1 1 1.5e308 0\n",
+            # only the trace overflowed, and the matrix became zero
+            "dims: 2 2\n" + "".join(f"{i} {i} 6e307 0\n" for i in range(4)),
+        ],
+        ids=["symmetrization", "trace"],
+    )
+    def test_huge_finite_entries_read_as_the_state(self, text):
+        rho = read_state(text)
+        assert np.array_equal(rho.mat, maximally_mixed(rho.dims).mat)
+        report = edge_analysis(rho, SolverConfig(seed=1, restarts=2))
+        assert report.classification == NOT_EDGE
 
     def test_non_finite_entries_rejected(self):
         for bad in ("nan 0", "0 nan", "inf 0", "0 -inf", "-inf 0"):
@@ -608,6 +659,14 @@ class TestDensityMatrix:
             mat[3, 3] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 density_matrix((2, 2), mat)
+
+    def test_huge_entries_refused_as_given(self):
+        # scaled down by a power of two before the checks, whose errors
+        # still speak of the matrix as given
+        with pytest.raises(ValueError, match="not Hermitian"):
+            density_matrix((2,), np.array([[1.0, 1e308], [-1e308, 1.0]]))
+        with pytest.raises(ValueError, match=r"trace -4\.000e\+307 is not positive"):
+            density_matrix((2, 2), -1e307 * np.eye(4))
 
     def test_non_positive_trace_rejected(self):
         # dividing by a negative trace would turn -I/4 into the mixed state

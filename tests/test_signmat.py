@@ -21,7 +21,6 @@ from prodvec.signmat import (
     canonical_form,
     classify_vanishing,
     decode_pattern,
-    encode_pattern,
     equivalent,
     format_matrix,
     integer_rank,
@@ -31,7 +30,7 @@ from prodvec.signmat import (
     permanent_naive,
     sign_matrix,
 )
-from signmat_oracles import canonical_codes, find_vanishing, permanent_addition
+from signmat_oracles import canonical_codes, encode_pattern, find_vanishing, permanent_addition
 
 SIGMA_1 = sign_matrix(["--++", "++++", "++++", "++++"])
 SIGMA_2 = sign_matrix(["--++", "+--+", "++++", "++++"])

@@ -20,6 +20,7 @@ from prodvec.solvability import (
     reduce,
     verdict,
 )
+from prodvec.truncpoly import expand_product
 
 EX25 = problem_spec((2, 2, 4), [({1}, 1), ({2}, 1), ({3}, 1), ((), 1)])
 
@@ -244,6 +245,43 @@ class TestVerdict:
                 assert v.kind in (EXISTS_NONZERO, INCONCLUSIVE)
                 if (n + 1) & n != 0:
                     assert v.kind == INCONCLUSIVE
+
+    def test_power_of_two_qubit_counts_settled_by_the_product(self):
+        # On n = 2^m - 1 qubits with N_E <= n, P * l_+^(n - N_E) has per(M)
+        # as its top coefficient, M the n x n matrix of the rows with their
+        # powers, and no such permanent vanishes (Wanless 2005); so P != 0
+        # and the critical or nonvanishing rule decides.  Every reduced spec
+        # on (2,)^3 with codims 0-3, and a seeded sample on (2,)^7.
+        settled = {"critical-top-coefficient", "underdetermined-nonvanishing"}
+        # the subsets without party 1 stand for the classes modulo complement
+        classes3 = [(), (2,), (3,), (2, 3)]
+        specs = [
+            (3, [(s, k) for s, k in zip(classes3, codims) if k is not None])
+            for codims in itertools.product((None, 0, 1, 2, 3), repeat=4)
+        ]
+        rng = random.Random(67)
+        classes7 = [s for r in range(7) for s in itertools.combinations(range(2, 8), r)]
+        specs += [
+            (7, [(s, rng.randint(0, 3)) for s in rng.sample(classes7, rng.randint(1, 5))])
+            for _ in range(300)
+        ]
+        seen = set()
+        for n, cons in specs:
+            spec = problem_spec((2,) * n, cons)
+            assert reduce(spec) == spec
+            v = verdict(spec)
+            seen.add((n, v.basis))
+            if v.n_equations > n:
+                assert v.basis == "overdetermined-generic"
+                continue
+            assert v.basis in settled, spec
+            rows = [[-1 if j in s else 1 for j in range(1, n + 1)] for s, _ in cons]
+            powers = [k for _, k in cons]
+            plus = n - v.n_equations
+            m = [r for r, k in zip(rows, powers) for _ in range(k)] + [[1] * n] * plus
+            top = expand_product(rows + [[1] * n], powers + [plus], (2,) * n).top_coefficient()
+            assert top == permanent(sign_matrix(m)) != 0
+        assert len(seen) == 6, seen
 
     def test_kind_count_guards(self):
         rng = random.Random(31)

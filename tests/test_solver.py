@@ -10,17 +10,26 @@ from prodvec.solvability import problem_spec
 from prodvec.solver import (
     EXIT_REASONS,
     SolverConfig,
+    SubspaceConstraint,
     count_distinct,
     partial_conjugate,
     product_vector,
     random_instance,
     residual,
     solve,
-    subspace_constraint,
 )
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+
+
+def subspace_constraint(subset, basis):
+    """The constraint on ``subset`` whose complement is spanned by the
+    rows of ``basis``, or by ``basis`` alone when it is one vector."""
+    basis = np.asarray(basis, dtype=complex)
+    if basis.ndim == 1:
+        basis = basis[None, :]
+    return SubspaceConstraint(frozenset(int(j) for j in subset), basis)
 
 
 def rng_for(seed):
