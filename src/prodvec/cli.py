@@ -208,7 +208,7 @@ def _solve_lines(report: solver.SolveReport) -> list[str]:
 
 def _factor_lines(vector: solver.ProductVector) -> list[str]:
     return [
-        f"  factor {j + 1}: " + " ".join(format_complex(z) for z in f)
+        f"  factor {j + 1}: " + " ".join(format_complex(z) for z in f.tolist())
         for j, f in enumerate(vector.factors)
     ]
 

@@ -39,16 +39,18 @@ from .solver import (
 DEFAULT_RANK_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 # Largest 2^(n-1) * D^3 one edge analysis runs, D = prod(dims), checked on
-# the dims before any eigendecomposition.  The unit is one eigh of a D x D
-# partial transpose per canonical subset, the one decomposition is_ppt and
-# rank_profile share: 1.1-2.2 ns at D = 64 to 812.  Since D >= 2^n, it
-# also caps a profile's 2^(n-1) D^2 complement entries below 2^21.5
-# (50 MB).  `prodvec edge` on dense full-rank PPT files, parsing included
-# (2-CPU Xeon host, one BLAS thread): (812,) with --restarts 3 took
-# 1.3-1.8 s, 0.55-0.75 s of it parsing; (15, 43) 1.1-1.3 s; (8, 8, 8),
-# at the limit, 1.0-1.4 s; (2, 2, 128) 1.0-1.2 s.  (28, 29), at 2^30,
-# took 1.5 s in-process with the bound lifted.  Two-line product-state
-# files end in under 1 s on either side.
+# the dims before any eigendecomposition.  The unit is one eigvalsh of a
+# D x D partial transpose per canonical subset, plus one eigh per subset
+# whose range has a complement: the two stages of the decomposition is_ppt
+# and rank_profile share, 0.3-1.2 ns and 1.2-2.6 ns per unit at D = 64 to
+# 812.  Since D >= 2^n, it also caps a profile's 2^(n-1) D^2 complement
+# entries below 2^21.5 (50 MB).  `prodvec edge`, parsing included (2-CPU
+# Xeon host, one BLAS thread): a dense full-rank (812,) file with
+# --restarts 3 took 0.8-1.5 s, 0.55-0.75 s of it parsing; a full-rank PPT
+# (8, 8, 8) file, at the limit, 0.5-1.0 s; a rank-8 separable (8, 8, 8)
+# file, every transpose decomposed twice, 1.2-1.9 s before the solver's
+# work bound refused it at --restarts 2.  Two-line product-state files
+# end in under 1 s on either side.
 MAX_EDGE_WORK = 1 << 29
 
 
@@ -143,24 +145,59 @@ def canonical_subsets(n: int) -> list[frozenset[int]]:
 
 class _Spectra(NamedTuple):
     subsets: list[frozenset[int]]  # canonical_subsets(n)
+    stack: np.ndarray  # (2^(n-1), D, D) the partial transposes, in subset order
     w: np.ndarray  # (2^(n-1), D) ascending eigenvalues
-    v: np.ndarray  # (2^(n-1), D, D) eigenvectors in the columns
+    # per subset, orthonormal rows spanning the complement of the range;
+    # None until ``_complete`` has taken the eigenvectors
+    complements: list[np.ndarray] | None
 
 
-def _decompose(rho: DensityMatrix) -> _Spectra:
-    """One stacked eigh of every canonical partial transpose of ``rho``.
+def _positive(w: np.ndarray) -> bool:
+    """No eigenvalue below -POSITIVITY_TOL: the PPT test."""
+    return not (w[:, 0] < -POSITIVITY_TOL).any()
 
-    numpy decomposes each matrix of the stack alone, so every slice gets
-    the bits its own eigh would.  Nothing keeps the result: ``edge_analysis``
-    hands its one decomposition to ``is_ppt`` and ``rank_profile``, and
-    each of them called alone decomposes afresh.
+
+def _decompose(rho: DensityMatrix, tol: float) -> _Spectra:
+    """The eigenvalues of every canonical partial transpose of ``rho``,
+    and the range complements of a PPT state at the rank cut ``tol``.
+
+    Two stages.  One stacked eigvalsh of every transpose gives the
+    eigenvalues, which the PPT test reads; a state that is not PPT stops
+    there, with no eigenvectors.  For a PPT state ``_complete`` takes
+    one stacked eigh of the transposes whose range has a complement.
+    numpy decomposes each matrix of a stack alone, so every slice gets
+    the bits its own eigvalsh or eigh would.  Nothing keeps the result:
+    ``edge_analysis`` hands its one decomposition to ``is_ppt`` and
+    ``rank_profile``, and each of them called alone decomposes afresh.
     """
     subsets = canonical_subsets(rho.n_parties)
     stack = np.empty((len(subsets), rho.dim, rho.dim), dtype=complex)
     for k, s in enumerate(subsets):
         stack[k] = partial_transpose(rho, s).mat
-    w, v = np.linalg.eigh(stack)
-    return _Spectra(subsets, w, v)
+    spectra = _Spectra(subsets, stack, np.linalg.eigvalsh(stack), None)
+    return _complete(spectra, tol) if _positive(spectra.w) else spectra
+
+
+def _complete(spectra: _Spectra, tol: float) -> _Spectra:
+    """``spectra`` with the range complements at the rank cut ``tol``.
+
+    A transpose with an eigenvalue at or below the cut is deficient; one
+    stacked eigh of the deficient ones replaces their eigenvalue rows, so
+    each transpose's rank, values and complement come from one
+    decomposition.  A full-rank transpose keeps its eigvalsh row and gets
+    an empty (0, D) complement.
+    """
+    w = spectra.w.copy()
+    d = w.shape[1]
+    complements = [np.empty((0, d), dtype=complex)] * len(w)
+    deficient = [k for k, row in enumerate(w) if not _in_range(row, tol).all()]
+    if deficient:
+        # a slice takes no copy of the stack when every transpose is deficient
+        rows = slice(None) if len(deficient) == len(w) else deficient
+        w[rows], v = np.linalg.eigh(spectra.stack[rows])
+        for k, vk in zip(deficient, v):
+            complements[k] = np.ascontiguousarray(vk[:, ~_in_range(w[k], tol)].T)
+    return spectra._replace(w=w, complements=complements)
 
 
 def is_ppt(
@@ -168,10 +205,12 @@ def is_ppt(
 ) -> tuple[bool, dict[frozenset[int], float]]:
     """Positivity of every partial transpose, checked on the canonical subsets:
     no eigenvalue below -POSITIVITY_TOL.  Reads ``spectra``, by default
-    ``_decompose(rho)``, the decomposition ``rank_profile`` reads."""
-    spectra = _decompose(rho) if spectra is None else spectra
+    ``_decompose(rho, DEFAULT_RANK_TOL)``, the decomposition ``rank_profile``
+    reads at its default cut; on a state that is not PPT that is one
+    eigvalsh per canonical subset and no eigenvectors."""
+    spectra = _decompose(rho, DEFAULT_RANK_TOL) if spectra is None else spectra
     min_eigs = dict(zip(spectra.subsets, spectra.w[:, 0].tolist()))
-    return not (spectra.w[:, 0] < -POSITIVITY_TOL).any(), min_eigs
+    return _positive(spectra.w), min_eigs
 
 
 @dataclass(frozen=True)
@@ -208,15 +247,19 @@ def rank_profile(
     each record carries the singular values on both sides of the cut so
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
-    It reads ``spectra``, by default ``_decompose(rho)``, the
-    decomposition ``is_ppt`` reads.  Its 2^(n-1) D x D ``eigh`` calls and
-    up to 2^(n-1) D^2 complement entries are bounded only by
-    ``edge_analysis``'s MAX_EDGE_WORK check.
+    It reads ``spectra``, by default ``_decompose(rho, tol)``, the
+    decomposition ``is_ppt`` reads; a state that is not PPT still needs
+    its complements, so ``_complete`` takes them.  That is one eigvalsh
+    per canonical subset plus one eigh per subset whose range has a
+    complement, and up to 2^(n-1) D^2 complement entries, bounded only
+    by ``edge_analysis``'s MAX_EDGE_WORK check.
     """
     records = []
     total = 0
-    spectra = _decompose(rho) if spectra is None else spectra
-    for s, w, v in zip(spectra.subsets, spectra.w, spectra.v):
+    spectra = _decompose(rho, tol) if spectra is None else spectra
+    if spectra.complements is None:
+        spectra = _complete(spectra, tol)
+    for s, w, complement in zip(spectra.subsets, spectra.w, spectra.complements):
         keep = _in_range(w, tol)
         sv = np.abs(w)
         rank = int(keep.sum())
@@ -227,7 +270,7 @@ def rank_profile(
                 min_eigenvalue=float(w[0]),
                 gap_below=float(sv[~keep].max()) if rank < sv.size else 0.0,
                 gap_above=float(sv[keep].min()) if rank else 0.0,
-                complement=np.ascontiguousarray(v[:, ~keep].T),
+                complement=complement,
             )
         )
         total += rank
@@ -324,13 +367,14 @@ def edge_analysis(
     constraints at all) ``restart_count`` refuses, raises
     UnsupportedSizeError before any eigendecomposition, PPT or not; an
     admitted state whose solve is too large is refused by ``solve``.
-    The PPT test and the profile read one decomposition, dropped once
-    the profile has copied out its complements.
+    The PPT test and the profile read one decomposition at ``rank_tol``,
+    dropped once the profile holds its complements; a state that is not
+    PPT gets no eigenvectors.
     """
     config = config or SolverConfig()
     _check_edge_work(rho.dims)
     restart_count(spec_of_constraints(rho.dims, []), config)
-    spectra = _decompose(rho)
+    spectra = _decompose(rho, rank_tol)
     ppt, min_eigs = is_ppt(rho, spectra)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)

@@ -83,7 +83,9 @@ class ProductVector:
 
     def __post_init__(self):
         for f in self.factors:
-            if abs(np.linalg.norm(f) - 1.0) > 1e-12:
+            # np.linalg.norm's own formula for a 1-d array, without its wrapper
+            re, im = f.real, f.imag
+            if abs(math.sqrt(re.dot(re) + im.dot(im)) - 1.0) > 1e-12:
                 raise ValueError("factors must be unit vectors")
 
     @property
@@ -269,7 +271,8 @@ class _Problem:
         self.n_params = 2 * sum(self.dims)
         self.starts = np.cumsum((0,) + self.dims[:-1])
         self.parties = [slice(lo, lo + d) for lo, d in zip(self.starts, self.dims)]
-        self.first = np.isin(np.arange(self.n_params // 2), self.starts).astype(complex)
+        self.first = np.zeros(self.n_params // 2, dtype=complex)
+        self.first[self.starts] = 1.0
         self.param_dims = 2 * np.array(self.dims)
         party = np.repeat(np.arange(n), self.param_dims)
         self.penalty_mask = 4.0 * (party[:, None] == party[None, :])
@@ -474,12 +477,13 @@ def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> lis
     1 - tol, and the class's lowest-cost row (the first on ties)
     represents it.
     """
+    conj = [f.conj() for f in factors]
     unplaced = np.arange(len(costs))
     reps = []
     while unplaced.size:
         overlap = np.ones(unplaced.size)
-        for f in factors:
-            overlap *= np.abs(f[unplaced].conj() @ f[unplaced[0]])
+        for f, fc in zip(factors, conj):
+            overlap *= np.abs(fc[unplaced] @ f[unplaced[0]])
         member = overlap > 1.0 - tol
         member[0] = True  # whatever the rounding of its self-overlap
         cls = unplaced[member]

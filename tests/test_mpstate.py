@@ -74,14 +74,39 @@ def no_eig(*args, **kwargs):
     raise AssertionError("eigendecomposed before checking the bounds")
 
 
+def symmetric_times_mixed():
+    """(P_sym / 3) (x) (I / 2) on 2 (x) 2 (x) 2: separable, so PPT.  Its
+    transposes over {} and {3} have rank 6, and those over {2} and {2, 3}
+    full rank, since the partial transpose of P_sym = (I + F) / 2 is
+    (I + 2 |Phi+><Phi+|) / 2."""
+    sym = (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 2
+    return density_matrix((2, 2, 2), np.kron(sym / 3, np.eye(2) / 2) + 0j)
+
+
+def recording(monkeypatch, names):
+    """Wrap the numpy.linalg functions in ``names``; the returned list gets
+    (name, copy of the argument) per call, in call order."""
+    seen = []
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def wrapped(a, *args, _name=name, _real=real, **kwargs):
+            seen.append((_name, np.array(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(mpstate.np.linalg, name, wrapped)
+    return seen
+
+
 def not_ppt_spectra(calls):
     """Stand-in for mpstate._decompose: every partial transpose has -1 as its
     only eigenvalue, so the state is not PPT; records the dims it sees."""
 
-    def decompose(rho):
+    def decompose(rho, tol):
+        assert tol == mpstate.DEFAULT_RANK_TOL
         calls.append(rho.dims)
         subsets = canonical_subsets(rho.n_parties)
-        return mpstate._Spectra(subsets, -np.ones((len(subsets), 1)), None)
+        return mpstate._Spectra(subsets, None, -np.ones((len(subsets), 1)), None)
 
     return decompose
 
@@ -322,68 +347,127 @@ class TestEdgeAnalysis:
         assert report.profile is None
 
     def test_ranges_taken_from_the_profile(self, monkeypatch):
-        # one eigh per canonical subset, shared by is_ppt and rank_profile;
+        # one eigvalsh of every canonical transpose, then one eigh of the
+        # deficient ones, all four here, shared by is_ppt and rank_profile;
         # the constraints reuse the profile's complements
         calls = []
-        stacked = []
         transpose = mpstate.partial_transpose
-        eigh = np.linalg.eigh
 
         def counting(rho, subset):
             calls.append(subset)
             return transpose(rho, subset)
 
-        def counting_eigh(a, *args, **kwargs):
-            stacked.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
         def no_complement(*args, **kwargs):
             raise AssertionError("edge_analysis decomposed a partial transpose again")
 
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("edge_analysis took a second spectrum")
-
         monkeypatch.setattr(mpstate, "partial_transpose", counting)
-        monkeypatch.setattr(mpstate.np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eigvalsh)
+        seen = recording(monkeypatch, ["eigvalsh", "eigh"])
         monkeypatch.setattr(mpstate, "range_complement", no_complement)
         state = build_separable(random_vectors(77, (2, 2, 2), 4), [0.25] * 4)
         report = edge_analysis(state, SolverConfig(seed=5, restarts=20))
         assert calls == canonical_subsets(3)
-        assert stacked == [(4, 8, 8)]
+        assert [(name, a.shape) for name, a in seen] == [("eigvalsh", (4, 8, 8)), ("eigh", (4, 8, 8))]
+        assert np.array_equal(seen[1][1], seen[0][1])
         assert report.ppt
+        assert [r.rank for r in report.profile.records] == [4, 4, 4, 4]
         assert report.decision.n_equations == sum(8 - r.rank for r in report.profile.records)
+
+    def test_eigenvectors_only_of_deficient_transposes(self, monkeypatch):
+        # the eigh takes exactly the transposes whose range has a complement
+        rho = symmetric_times_mixed()
+        seen = recording(monkeypatch, ["eigvalsh", "eigh"])
+        report = edge_analysis(rho, SolverConfig(seed=1, restarts=4))
+        monkeypatch.undo()
+        assert [r.rank for r in report.profile.records] == [6, 8, 6, 8]
+        (_, values), (name, vectors) = seen
+        assert name == "eigh"
+        assert np.array_equal(vectors, values[[0, 2]])
+        for r in report.profile.records:
+            assert r.complement.shape == (8 - r.rank, 8)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [bell_state(), random_state((2, 2, 2), 5, rank=2),
+         maximally_mixed((2, 2, 2)), density_matrix((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]))],
+        ids=["bell", "npt-rank-2", "maximally-mixed", "full-rank-diagonal"],
+    )
+    def test_no_eigenvectors_unless_a_range_has_a_complement(self, monkeypatch, rho):
+        # a state that is not PPT stops at its eigenvalues, and a PPT state
+        # whose transposes all have full rank needs no complement
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("took eigenvectors that the report never reads")
+
+        monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eigh)
+        report = edge_analysis(rho, SolverConfig(seed=1, restarts=4))
+        if report.ppt:
+            assert report.classification == NOT_EDGE
+            assert all(r.rank == rho.dim for r in report.profile.records)
+        else:
+            assert report.classification == NOT_APPLICABLE
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (12,)])
     def test_stacked_transposes_bit_for_bit(self, monkeypatch, dims):
-        # every slice of the stack is the partial transpose, and its spectrum
-        # the one a separate eigh gives it
-        rho = random_state(dims, 11)
-        eigh = np.linalg.eigh
-        stacks = []
-
-        def keeping(a, *args, **kwargs):
-            stacks.append(a.copy())
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(mpstate.np.linalg, "eigh", keeping)
-        spectra = mpstate._decompose(rho)
-        monkeypatch.undo()
-        (stack,) = stacks
-        assert spectra.subsets == canonical_subsets(len(dims))
-        for k, s in enumerate(spectra.subsets):
-            pt = partial_transpose(rho, s).mat
-            assert np.array_equal(stack[k], pt)
-            w, v = np.linalg.eigh(pt)
-            assert np.array_equal(spectra.w[k], w)
-            assert np.array_equal(spectra.v[k], v)
+        # every slice of the stack is the partial transpose; a row of
+        # eigenvalues is the one a separate eigvalsh gives it, or for a
+        # deficient transpose of a PPT state the one a separate eigh gives,
+        # with the complement of that eigh's range
+        tol = mpstate.DEFAULT_RANK_TOL
+        d = math.prod(dims)
+        states = [
+            random_state(dims, 11),
+            build_separable(random_vectors(11, dims, 2), [0.5, 0.5]),
+        ]
+        for rho in states:
+            seen = recording(monkeypatch, ["eigvalsh", "eigh"])
+            spectra = mpstate._decompose(rho, tol)
+            monkeypatch.undo()
+            stack = seen[0][1]
+            assert seen[0][0] == "eigvalsh"
+            assert spectra.subsets == canonical_subsets(len(dims))
+            values = [np.linalg.eigvalsh(partial_transpose(rho, s).mat) for s in spectra.subsets]
+            ppt = min(w[0] for w in values) >= -mpstate.POSITIVITY_TOL
+            deficient = []
+            for k, s in enumerate(spectra.subsets):
+                pt = partial_transpose(rho, s).mat
+                assert np.array_equal(stack[k], pt)
+                w = values[k]
+                if ppt and not mpstate._in_range(w, tol).all():
+                    deficient.append(k)
+                    w, v = np.linalg.eigh(pt)
+                    keep = mpstate._in_range(w, tol)
+                    assert np.array_equal(spectra.complements[k], v[:, ~keep].T)
+                elif ppt:
+                    assert spectra.complements[k].shape == (0, d)
+                assert np.array_equal(spectra.w[k], w)
+            if not ppt:
+                assert spectra.complements is None
+            if deficient:
+                assert [name for name, _ in seen] == ["eigvalsh", "eigh"]
+                assert np.array_equal(seen[1][1], stack[deficient])
+            else:
+                assert [name for name, _ in seen] == ["eigvalsh"]
 
     def test_is_ppt_reads_the_profile_spectrum(self):
+        # on a PPT state is_ppt and rank_profile read one decomposition
+        rho = build_separable(random_vectors(4, (2, 3), 3), [0.5, 0.25, 0.25])
+        ok, eigs = is_ppt(rho)
+        prof = rank_profile(rho)
+        assert ok
+        assert eigs == {r.subset: r.min_eigenvalue for r in prof.records}
+        assert ok == edge_analysis(rho, SolverConfig(seed=1, restarts=4)).ppt
+        # a state that is not PPT stops at its eigenvalues; its profile still
+        # takes the complements, and with them the eigh values of the
+        # deficient transposes, which differ only in rounding
         rho = random_state((2, 3), 4, rank=3)
         ok, eigs = is_ppt(rho)
         prof = rank_profile(rho)
-        assert eigs == {r.subset: r.min_eigenvalue for r in prof.records}
+        assert not ok
         assert ok == edge_analysis(rho, SolverConfig(seed=1, restarts=4)).ppt
+        for r in prof.records:
+            if r.rank == 6:
+                assert eigs[r.subset] == r.min_eigenvalue
+            else:
+                assert abs(eigs[r.subset] - r.min_eigenvalue) < 1e-15
 
     @pytest.mark.parametrize(
         "dims, admitted",

@@ -164,9 +164,9 @@ class TestVerdict:
         assert v.kind == INFINITELY_MANY
         assert v.basis == "underdetermined-nonvanishing"
 
-    def test_five_qubit_vanishing_falls_to_qubit_rule(self):
-        # the vanishing five-qubit family: product zero, rank 3 < 4 rows,
-        # five qubits (not one less than a power of two) -> inconclusive
+    def test_five_qubit_vanishing_family_is_inconclusive(self):
+        # the vanishing five-qubit family: product zero, rank 3 < 4 rows
+        # -> inconclusive
         spec = problem_spec(
             (2,) * 5,
             [({1, 4, 5}, 1), ({2}, 1), ({3}, 1), ((), 1)],
@@ -188,14 +188,13 @@ class TestVerdict:
         assert v.kind == INFINITELY_MANY
         assert v.basis == "underdetermined-nonvanishing"
 
-    def test_seven_qubit_underdetermined_resolves_before_count_rule(self):
+    def test_seven_qubit_padding_breaks_the_cancellation(self):
         # Complete search: no seven-qubit system with at most six expanded
         # equations has a vanishing sign product (all column multisets for
         # 1-4 rows; all, up to equivalence, for 5-6 rows), so the
-        # under-determined cases always resolve via the nonvanishing rule
-        # and never reach the power-of-two count rule.  The vanishing
-        # five-qubit family padded to seven parties illustrates this: the
-        # extra variables break the cancellation.
+        # under-determined cases always resolve via the nonvanishing rule.
+        # The vanishing five-qubit family padded to seven parties
+        # illustrates this: the extra variables break the cancellation.
         spec = problem_spec(
             (2,) * 7,
             [({1, 4, 5}, 1), ({2}, 1), ({3}, 1), ((), 1)],
@@ -225,7 +224,10 @@ class TestVerdict:
         assert specs == 838
 
     def test_qubit_square_permanent_dichotomy(self):
+        # a square qubit system is critical: a nonvanishing permanent
+        # settles existence and a vanishing one leaves it open
         rng = random.Random(29)
+        vanishing = set()
         for _ in range(80):
             n = rng.randint(2, 5)
             subsets = []
@@ -242,9 +244,12 @@ class TestVerdict:
             if permanent(sigma) != 0:
                 assert v.kind == EXISTS_NONZERO
             else:
-                assert v.kind in (EXISTS_NONZERO, INCONCLUSIVE)
-                if (n + 1) & n != 0:
-                    assert v.kind == INCONCLUSIVE
+                # no +-1 matrix of order 2^m - 1 has a vanishing permanent
+                # (Wanless 2005)
+                assert n != 3
+                assert v.kind == INCONCLUSIVE
+                vanishing.add(n)
+        assert vanishing == {2, 4, 5}
 
     def test_power_of_two_qubit_counts_settled_by_the_product(self):
         # On n = 2^m - 1 qubits with N_E <= n, P * l_+^(n - N_E) has per(M)

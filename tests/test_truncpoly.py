@@ -103,6 +103,17 @@ class TestExpandProduct:
         with pytest.raises(ValueError):
             expand_product([[1, -1]], [1], (2, 2, 2))
 
+    @pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 2, 2), (1, 4), (5, 1, 3)])
+    def test_every_power_zero_is_the_unit(self, dims):
+        # the empty product, also where the walk has no layer axis; the
+        # rows and powers are still checked first
+        rows = [[1] * len(dims), [-1] + [1] * (len(dims) - 1)]
+        p = expand_product(rows, [0, 0], dims)
+        assert p.coeffs == {(0,) * len(dims): 1}
+        assert coefficient_direct(rows, [0, 0], (0,) * len(dims)) == 1
+        with pytest.raises(ValueError):
+            expand_product(rows, [0], dims)
+
     def test_rows_validated_once(self, monkeypatch):
         # other rows go through sign_matrix; a SignMatrix, validated when it
         # was built, is taken as it is
