@@ -145,59 +145,41 @@ def canonical_subsets(n: int) -> list[frozenset[int]]:
 
 class _Spectra(NamedTuple):
     subsets: list[frozenset[int]]  # canonical_subsets(n)
-    stack: np.ndarray  # (2^(n-1), D, D) the partial transposes, in subset order
     w: np.ndarray  # (2^(n-1), D) ascending eigenvalues
-    # per subset, orthonormal rows spanning the complement of the range;
-    # None until ``_complete`` has taken the eigenvectors
-    complements: list[np.ndarray] | None
-
-
-def _positive(w: np.ndarray) -> bool:
-    """No eigenvalue below -POSITIVITY_TOL: the PPT test."""
-    return not (w[:, 0] < -POSITIVITY_TOL).any()
+    # per subset, orthonormal rows spanning the complement of the range
+    complements: list[np.ndarray]
 
 
 def _decompose(rho: DensityMatrix, tol: float) -> _Spectra:
-    """The eigenvalues of every canonical partial transpose of ``rho``,
-    and the range complements of a PPT state at the rank cut ``tol``.
+    """The eigenvalues and range complements, at the rank cut ``tol``, of
+    every canonical partial transpose of ``rho``.
 
     Two stages.  One stacked eigvalsh of every transpose gives the
-    eigenvalues, which the PPT test reads; a state that is not PPT stops
-    there, with no eigenvectors.  For a PPT state ``_complete`` takes
-    one stacked eigh of the transposes whose range has a complement.
-    numpy decomposes each matrix of a stack alone, so every slice gets
-    the bits its own eigvalsh or eigh would.  Nothing keeps the result:
-    ``edge_analysis`` hands its one decomposition to ``is_ppt`` and
-    ``rank_profile``, and each of them called alone decomposes afresh.
+    eigenvalues.  A transpose with an eigenvalue at or below the cut is
+    deficient; one stacked eigh of the deficient ones replaces their
+    eigenvalue rows, so each transpose's rank, values and complement come
+    from one decomposition.  A full-rank transpose keeps its eigvalsh row
+    and gets an empty (0, D) complement.  numpy decomposes each matrix of
+    a stack alone, so every slice gets the bits its own eigvalsh or eigh
+    would.  Nothing keeps the result: ``edge_analysis`` hands its one
+    decomposition to ``is_ppt`` and ``rank_profile``, and each of them
+    called alone decomposes afresh.
     """
     subsets = canonical_subsets(rho.n_parties)
-    stack = np.empty((len(subsets), rho.dim, rho.dim), dtype=complex)
+    d = rho.dim
+    stack = np.empty((len(subsets), d, d), dtype=complex)
     for k, s in enumerate(subsets):
         stack[k] = partial_transpose(rho, s).mat
-    spectra = _Spectra(subsets, stack, np.linalg.eigvalsh(stack), None)
-    return _complete(spectra, tol) if _positive(spectra.w) else spectra
-
-
-def _complete(spectra: _Spectra, tol: float) -> _Spectra:
-    """``spectra`` with the range complements at the rank cut ``tol``.
-
-    A transpose with an eigenvalue at or below the cut is deficient; one
-    stacked eigh of the deficient ones replaces their eigenvalue rows, so
-    each transpose's rank, values and complement come from one
-    decomposition.  A full-rank transpose keeps its eigvalsh row and gets
-    an empty (0, D) complement.
-    """
-    w = spectra.w.copy()
-    d = w.shape[1]
-    complements = [np.empty((0, d), dtype=complex)] * len(w)
+    w = np.linalg.eigvalsh(stack)
+    complements = [np.empty((0, d), dtype=complex)] * len(subsets)
     deficient = [k for k, row in enumerate(w) if not _in_range(row, tol).all()]
     if deficient:
         # a slice takes no copy of the stack when every transpose is deficient
         rows = slice(None) if len(deficient) == len(w) else deficient
-        w[rows], v = np.linalg.eigh(spectra.stack[rows])
+        w[rows], v = np.linalg.eigh(stack[rows])
         for k, vk in zip(deficient, v):
             complements[k] = np.ascontiguousarray(vk[:, ~_in_range(w[k], tol)].T)
-    return spectra._replace(w=w, complements=complements)
+    return _Spectra(subsets, w, complements)
 
 
 def is_ppt(
@@ -206,11 +188,11 @@ def is_ppt(
     """Positivity of every partial transpose, checked on the canonical subsets:
     no eigenvalue below -POSITIVITY_TOL.  Reads ``spectra``, by default
     ``_decompose(rho, DEFAULT_RANK_TOL)``, the decomposition ``rank_profile``
-    reads at its default cut; on a state that is not PPT that is one
-    eigvalsh per canonical subset and no eigenvectors."""
+    reads at its default cut: one eigvalsh per canonical subset, plus one
+    eigh per subset whose range has a complement."""
     spectra = _decompose(rho, DEFAULT_RANK_TOL) if spectra is None else spectra
     min_eigs = dict(zip(spectra.subsets, spectra.w[:, 0].tolist()))
-    return _positive(spectra.w), min_eigs
+    return not (spectra.w[:, 0] < -POSITIVITY_TOL).any(), min_eigs
 
 
 @dataclass(frozen=True)
@@ -248,17 +230,14 @@ def rank_profile(
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
     It reads ``spectra``, by default ``_decompose(rho, tol)``, the
-    decomposition ``is_ppt`` reads; a state that is not PPT still needs
-    its complements, so ``_complete`` takes them.  That is one eigvalsh
-    per canonical subset plus one eigh per subset whose range has a
-    complement, and up to 2^(n-1) D^2 complement entries, bounded only
-    by ``edge_analysis``'s MAX_EDGE_WORK check.
+    decomposition ``is_ppt`` reads: one eigvalsh per canonical subset
+    plus one eigh per subset whose range has a complement, and up to
+    2^(n-1) D^2 complement entries, bounded only by ``edge_analysis``'s
+    MAX_EDGE_WORK check.
     """
     records = []
     total = 0
     spectra = _decompose(rho, tol) if spectra is None else spectra
-    if spectra.complements is None:
-        spectra = _complete(spectra, tol)
     for s, w, complement in zip(spectra.subsets, spectra.w, spectra.complements):
         keep = _in_range(w, tol)
         sv = np.abs(w)
@@ -368,8 +347,7 @@ def edge_analysis(
     UnsupportedSizeError before any eigendecomposition, PPT or not; an
     admitted state whose solve is too large is refused by ``solve``.
     The PPT test and the profile read one decomposition at ``rank_tol``,
-    dropped once the profile holds its complements; a state that is not
-    PPT gets no eigenvectors.
+    dropped once the profile holds its complements.
     """
     config = config or SolverConfig()
     _check_edge_work(rho.dims)

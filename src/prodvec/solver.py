@@ -477,13 +477,12 @@ def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> lis
     1 - tol, and the class's lowest-cost row (the first on ties)
     represents it.
     """
-    conj = [f.conj() for f in factors]
     unplaced = np.arange(len(costs))
     reps = []
     while unplaced.size:
         overlap = np.ones(unplaced.size)
-        for f, fc in zip(factors, conj):
-            overlap *= np.abs(fc[unplaced] @ f[unplaced[0]])
+        for f in factors:
+            overlap *= np.abs(f[unplaced].conj() @ f[unplaced[0]])
         member = overlap > 1.0 - tol
         member[0] = True  # whatever the rounding of its self-overlap
         cls = unplaced[member]

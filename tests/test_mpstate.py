@@ -106,7 +106,7 @@ def not_ppt_spectra(calls):
         assert tol == mpstate.DEFAULT_RANK_TOL
         calls.append(rho.dims)
         subsets = canonical_subsets(rho.n_parties)
-        return mpstate._Spectra(subsets, None, -np.ones((len(subsets), 1)), None)
+        return mpstate._Spectra(subsets, -np.ones((len(subsets), 1)), None)
 
     return decompose
 
@@ -387,13 +387,14 @@ class TestEdgeAnalysis:
 
     @pytest.mark.parametrize(
         "rho",
-        [bell_state(), random_state((2, 2, 2), 5, rank=2),
+        [density_matrix((2, 2), 0.9 * bell_state().mat + 0.1 * np.eye(4) / 4),
+         random_state((2, 2, 2), 5),
          maximally_mixed((2, 2, 2)), density_matrix((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]))],
-        ids=["bell", "npt-rank-2", "maximally-mixed", "full-rank-diagonal"],
+        ids=["noisy-bell", "npt-full-rank", "maximally-mixed", "full-rank-diagonal"],
     )
     def test_no_eigenvectors_unless_a_range_has_a_complement(self, monkeypatch, rho):
-        # a state that is not PPT stops at its eigenvalues, and a PPT state
-        # whose transposes all have full rank needs no complement
+        # a state whose transposes all have full rank, PPT or not, stops at
+        # its eigenvalues: no range has a complement
         def no_eigh(*args, **kwargs):
             raise AssertionError("took eigenvectors that the report never reads")
 
@@ -409,12 +410,13 @@ class TestEdgeAnalysis:
     def test_stacked_transposes_bit_for_bit(self, monkeypatch, dims):
         # every slice of the stack is the partial transpose; a row of
         # eigenvalues is the one a separate eigvalsh gives it, or for a
-        # deficient transpose of a PPT state the one a separate eigh gives,
-        # with the complement of that eigh's range
+        # deficient transpose the one a separate eigh gives, with the
+        # complement of that eigh's range
         tol = mpstate.DEFAULT_RANK_TOL
         d = math.prod(dims)
         states = [
             random_state(dims, 11),
+            random_state(dims, 11, rank=2),
             build_separable(random_vectors(11, dims, 2), [0.5, 0.5]),
         ]
         for rho in states:
@@ -424,23 +426,19 @@ class TestEdgeAnalysis:
             stack = seen[0][1]
             assert seen[0][0] == "eigvalsh"
             assert spectra.subsets == canonical_subsets(len(dims))
-            values = [np.linalg.eigvalsh(partial_transpose(rho, s).mat) for s in spectra.subsets]
-            ppt = min(w[0] for w in values) >= -mpstate.POSITIVITY_TOL
             deficient = []
             for k, s in enumerate(spectra.subsets):
                 pt = partial_transpose(rho, s).mat
                 assert np.array_equal(stack[k], pt)
-                w = values[k]
-                if ppt and not mpstate._in_range(w, tol).all():
+                w = np.linalg.eigvalsh(pt)
+                if not mpstate._in_range(w, tol).all():
                     deficient.append(k)
                     w, v = np.linalg.eigh(pt)
                     keep = mpstate._in_range(w, tol)
                     assert np.array_equal(spectra.complements[k], v[:, ~keep].T)
-                elif ppt:
+                else:
                     assert spectra.complements[k].shape == (0, d)
                 assert np.array_equal(spectra.w[k], w)
-            if not ppt:
-                assert spectra.complements is None
             if deficient:
                 assert [name for name, _ in seen] == ["eigvalsh", "eigh"]
                 assert np.array_equal(seen[1][1], stack[deficient])
@@ -448,26 +446,18 @@ class TestEdgeAnalysis:
                 assert [name for name, _ in seen] == ["eigvalsh"]
 
     def test_is_ppt_reads_the_profile_spectrum(self):
-        # on a PPT state is_ppt and rank_profile read one decomposition
+        rho = random_state((2, 3), 4, rank=3)
+        ok, eigs = is_ppt(rho)
+        prof = rank_profile(rho)
+        assert eigs == {r.subset: r.min_eigenvalue for r in prof.records}
+        assert ok == edge_analysis(rho, SolverConfig(seed=1, restarts=4)).ppt
+        # and on a PPT state
         rho = build_separable(random_vectors(4, (2, 3), 3), [0.5, 0.25, 0.25])
         ok, eigs = is_ppt(rho)
         prof = rank_profile(rho)
         assert ok
         assert eigs == {r.subset: r.min_eigenvalue for r in prof.records}
         assert ok == edge_analysis(rho, SolverConfig(seed=1, restarts=4)).ppt
-        # a state that is not PPT stops at its eigenvalues; its profile still
-        # takes the complements, and with them the eigh values of the
-        # deficient transposes, which differ only in rounding
-        rho = random_state((2, 3), 4, rank=3)
-        ok, eigs = is_ppt(rho)
-        prof = rank_profile(rho)
-        assert not ok
-        assert ok == edge_analysis(rho, SolverConfig(seed=1, restarts=4)).ppt
-        for r in prof.records:
-            if r.rank == 6:
-                assert eigs[r.subset] == r.min_eigenvalue
-            else:
-                assert abs(eigs[r.subset] - r.min_eigenvalue) < 1e-15
 
     @pytest.mark.parametrize(
         "dims, admitted",
