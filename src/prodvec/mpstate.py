@@ -19,7 +19,7 @@ import math
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -41,16 +41,16 @@ POSITIVITY_TOL = 1e-10
 # Largest 2^(n-1) * D^3 one edge analysis runs, D = prod(dims), checked on
 # the dims before any eigendecomposition.  The unit is one eigvalsh of a
 # D x D partial transpose per canonical subset, plus one eigh per subset
-# whose range has a complement: the two stages of the decomposition is_ppt
-# and rank_profile share, 0.3-1.2 ns and 1.2-2.6 ns per unit at D = 64 to
-# 812.  Since D >= 2^n, it also caps a profile's 2^(n-1) D^2 complement
-# entries below 2^21.5 (50 MB).  `prodvec edge`, parsing included (2-CPU
-# Xeon host, one BLAS thread): a dense full-rank (812,) file with
-# --restarts 3 took 0.8-1.5 s, 0.55-0.75 s of it parsing; a full-rank PPT
-# (8, 8, 8) file, at the limit, 0.5-1.0 s; a rank-8 separable (8, 8, 8)
-# file, every transpose decomposed twice, 1.2-1.9 s before the solver's
-# work bound refused it at --restarts 2.  Two-line product-state files
-# end in under 1 s on either side.
+# whose range has a complement: the two stages of rank_profile's
+# decomposition, which is_ppt reads, 0.3-1.2 ns and 1.2-2.6 ns per unit at
+# D = 64 to 812.  Since D >= 2^n, it also caps a profile's 2^(n-1) D^2
+# complement entries below 2^21.5 (50 MB).  `prodvec edge`, parsing
+# included (2-CPU Xeon host, one BLAS thread): a dense full-rank (812,)
+# file with --restarts 3 took 0.8-1.5 s, 0.55-0.75 s of it parsing; a
+# full-rank PPT (8, 8, 8) file, at the limit, 0.5-1.0 s; a rank-8
+# separable (8, 8, 8) file, every transpose decomposed twice, 1.2-1.9 s
+# before the solver's work bound refused it at --restarts 2.  Two-line
+# product-state files end in under 1 s on either side.
 MAX_EDGE_WORK = 1 << 29
 
 
@@ -143,58 +143,6 @@ def canonical_subsets(n: int) -> list[frozenset[int]]:
     return out
 
 
-class _Spectra(NamedTuple):
-    subsets: list[frozenset[int]]  # canonical_subsets(n)
-    w: np.ndarray  # (2^(n-1), D) ascending eigenvalues
-    # per subset, orthonormal rows spanning the complement of the range
-    complements: list[np.ndarray]
-
-
-def _decompose(rho: DensityMatrix, tol: float) -> _Spectra:
-    """The eigenvalues and range complements, at the rank cut ``tol``, of
-    every canonical partial transpose of ``rho``.
-
-    Two stages.  One stacked eigvalsh of every transpose gives the
-    eigenvalues.  A transpose with an eigenvalue at or below the cut is
-    deficient; one stacked eigh of the deficient ones replaces their
-    eigenvalue rows, so each transpose's rank, values and complement come
-    from one decomposition.  A full-rank transpose keeps its eigvalsh row
-    and gets an empty (0, D) complement.  numpy decomposes each matrix of
-    a stack alone, so every slice gets the bits its own eigvalsh or eigh
-    would.  Nothing keeps the result: ``edge_analysis`` hands its one
-    decomposition to ``is_ppt`` and ``rank_profile``, and each of them
-    called alone decomposes afresh.
-    """
-    subsets = canonical_subsets(rho.n_parties)
-    d = rho.dim
-    stack = np.empty((len(subsets), d, d), dtype=complex)
-    for k, s in enumerate(subsets):
-        stack[k] = partial_transpose(rho, s).mat
-    w = np.linalg.eigvalsh(stack)
-    complements = [np.empty((0, d), dtype=complex)] * len(subsets)
-    deficient = [k for k, row in enumerate(w) if not _in_range(row, tol).all()]
-    if deficient:
-        # a slice takes no copy of the stack when every transpose is deficient
-        rows = slice(None) if len(deficient) == len(w) else deficient
-        w[rows], v = np.linalg.eigh(stack[rows])
-        for k, vk in zip(deficient, v):
-            complements[k] = np.ascontiguousarray(vk[:, ~_in_range(w[k], tol)].T)
-    return _Spectra(subsets, w, complements)
-
-
-def is_ppt(
-    rho: DensityMatrix, spectra: _Spectra | None = None
-) -> tuple[bool, dict[frozenset[int], float]]:
-    """Positivity of every partial transpose, checked on the canonical subsets:
-    no eigenvalue below -POSITIVITY_TOL.  Reads ``spectra``, by default
-    ``_decompose(rho, DEFAULT_RANK_TOL)``, the decomposition ``rank_profile``
-    reads at its default cut: one eigvalsh per canonical subset, plus one
-    eigh per subset whose range has a complement."""
-    spectra = _decompose(rho, DEFAULT_RANK_TOL) if spectra is None else spectra
-    min_eigs = dict(zip(spectra.subsets, spectra.w[:, 0].tolist()))
-    return not (spectra.w[:, 0] < -POSITIVITY_TOL).any(), min_eigs
-
-
 @dataclass(frozen=True)
 class SubsetRank:
     subset: frozenset[int]
@@ -214,48 +162,74 @@ class RankProfile:
 
 
 def _in_range(w: np.ndarray, tol: float) -> np.ndarray:
-    """The rank cut: eigenvalues with |w| > tol * max|w| (> tol if max|w| is 0)."""
+    """The rank cut along the last axis: eigenvalues with |w| > tol * max|w|
+    (> tol if max|w| is 0)."""
     sv = np.abs(w)
-    top = sv.max()
-    return sv > (tol * top if top > 0 else tol)
+    top = sv.max(axis=-1, keepdims=True)
+    return sv > np.where(top > 0, tol * top, tol)
 
 
-def rank_profile(
-    rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL, spectra: _Spectra | None = None
-) -> RankProfile:
+def rank_profile(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> RankProfile:
     """Ranks and range complements of all canonical partial transposes, and the edge bound.
 
     The rank cut is at ``tol`` (relative to the largest singular value);
     each record carries the singular values on both sides of the cut so
     the cliff is visible in reports, and the complement of the range
     taken from the same decomposition, so rank + codimension = dim.
-    It reads ``spectra``, by default ``_decompose(rho, tol)``, the
-    decomposition ``is_ppt`` reads: one eigvalsh per canonical subset
-    plus one eigh per subset whose range has a complement, and up to
-    2^(n-1) D^2 complement entries, bounded only by ``edge_analysis``'s
-    MAX_EDGE_WORK check.
+
+    Two stages.  One stacked eigvalsh of every transpose gives the
+    eigenvalues.  A transpose with an eigenvalue at or below the cut is
+    deficient; one stacked eigh of the deficient ones replaces their
+    eigenvalues, so each transpose's rank, values and complement come
+    from one decomposition.  A full-rank transpose keeps its eigvalsh
+    values and gets an empty (0, D) complement.  numpy decomposes each
+    matrix of a stack alone, so every record gets the bits its own
+    eigvalsh or eigh would.  The 2^(n-1) D^2 complement entries are
+    bounded only by ``edge_analysis``'s MAX_EDGE_WORK check.
     """
+    subsets = canonical_subsets(rho.n_parties)
+    d = rho.dim
+    stack = np.empty((len(subsets), d, d), dtype=complex)
+    for k, s in enumerate(subsets):
+        stack[k] = partial_transpose(rho, s).mat
+    w = np.linalg.eigvalsh(stack)
+    keep = _in_range(w, tol)
+    complements = [np.empty((0, d), dtype=complex)] * len(subsets)
+    deficient = np.flatnonzero(~keep.all(axis=1))
+    if deficient.size:
+        # a slice takes no copy of the stack when every transpose is deficient
+        rows = slice(None) if deficient.size == len(w) else deficient
+        w[rows], v = np.linalg.eigh(stack[rows])
+        keep[rows] = _in_range(w[rows], tol)
+        for k, vk in zip(deficient, v):
+            complements[k] = np.ascontiguousarray(vk[:, ~keep[k]].T)
+    sv = np.abs(w)
     records = []
-    total = 0
-    spectra = _decompose(rho, tol) if spectra is None else spectra
-    for s, w, complement in zip(spectra.subsets, spectra.w, spectra.complements):
-        keep = _in_range(w, tol)
-        sv = np.abs(w)
-        rank = int(keep.sum())
+    for s, wk, svk, kk, complement in zip(subsets, w, sv, keep, complements):
+        rank = int(kk.sum())
         records.append(
             SubsetRank(
                 subset=s,
                 rank=rank,
-                min_eigenvalue=float(w[0]),
-                gap_below=float(sv[~keep].max()) if rank < sv.size else 0.0,
-                gap_above=float(sv[keep].min()) if rank else 0.0,
+                min_eigenvalue=float(wk[0]),
+                gap_below=float(svk[~kk].max()) if rank < d else 0.0,
+                gap_above=float(svk[kk].min()) if rank else 0.0,
                 complement=complement,
             )
         )
-        total += rank
-    n = rho.n_parties
-    bound = (1 << (n - 1)) * math.prod(rho.dims) - sum(d - 1 for d in rho.dims)
-    return RankProfile(tuple(records), total, bound)
+    bound = len(subsets) * d - sum(k - 1 for k in rho.dims)
+    return RankProfile(tuple(records), sum(r.rank for r in records), bound)
+
+
+def is_ppt(
+    rho: DensityMatrix, profile: RankProfile | None = None
+) -> tuple[bool, dict[frozenset[int], float]]:
+    """Positivity of every partial transpose, checked on the canonical subsets:
+    no eigenvalue below -POSITIVITY_TOL.  Reads the least eigenvalue of each
+    record of ``profile``, by default ``rank_profile(rho)``."""
+    profile = rank_profile(rho) if profile is None else profile
+    min_eigs = {r.subset: r.min_eigenvalue for r in profile.records}
+    return not any(v < -POSITIVITY_TOL for v in min_eigs.values()), min_eigs
 
 
 def range_complement(rho: DensityMatrix) -> np.ndarray:
@@ -346,18 +320,16 @@ def edge_analysis(
     constraints at all) ``restart_count`` refuses, raises
     UnsupportedSizeError before any eigendecomposition, PPT or not; an
     admitted state whose solve is too large is refused by ``solve``.
-    The PPT test and the profile read one decomposition at ``rank_tol``,
-    dropped once the profile holds its complements.
+    One ``rank_profile`` at ``rank_tol`` serves both: ``is_ppt`` reads
+    its least eigenvalues, and the constraints its complements.
     """
     config = config or SolverConfig()
     _check_edge_work(rho.dims)
     restart_count(spec_of_constraints(rho.dims, []), config)
-    spectra = _decompose(rho, rank_tol)
-    ppt, min_eigs = is_ppt(rho, spectra)
+    profile = rank_profile(rho, rank_tol)
+    ppt, min_eigs = is_ppt(rho, profile=profile)
     if not ppt:
         return EdgeReport(NOT_APPLICABLE, False, min_eigs, None, None, None, None, None)
-    profile = rank_profile(rho, rank_tol, spectra)
-    del spectra
     constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)

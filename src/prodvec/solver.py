@@ -47,7 +47,7 @@ MAX_BATCH_ENTRIES = 1 << 17
 # 6 to 23 s of restarts there.  The count does not see the product
 # dimension; MAX_RESTART_WORK does.
 MAX_RESTART_ENTRIES = 1 << 23
-# Largest restarts * max_iterations * sum of codims * prod(dims) one solve
+# Largest restarts * MAX_ITERATIONS * sum of codims * prod(dims) one solve
 # runs, checked before any draw.  The unit is one pass over a complement
 # basis (codim x prod(dims) entries); an LM iteration makes one per party
 # and per λ try, a factor the unit omits.  At the limit (one constraint on
@@ -56,9 +56,10 @@ MAX_RESTART_ENTRIES = 1 << 23
 # (2,)^12 at codim 13, 20 of 21 restarts stagnating (2-CPU Xeon host, one
 # BLAS thread).  The largest solves asked: tier-1 7.7e7, benchmark 1.6e6.
 MAX_RESTART_WORK = 1 << 27
-# What every solve passes to _minimize_batch and _dedupe: the LM steps a
-# restart takes at most, the cost above which a stalled restart retires as
-# stagnated, and the overlap tolerance of one projective class.
+# The LM steps a restart takes at most and the cost above which a stalled
+# restart retires as stagnated, which _minimize_batch reads, and the
+# overlap tolerance of one projective class, which every solve passes to
+# _dedupe.
 MAX_ITERATIONS = 120
 REJECT_THRESHOLD = 1e-8
 DEDUPE_TOLERANCE = 1e-6
@@ -389,10 +390,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _minimize_batch(
-    problem: _Problem,
-    factors: Sequence[np.ndarray],
-    max_iterations: int,
-    reject_threshold: float,
+    problem: _Problem, factors: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Damped Gauss-Newton from B starts at once, one damping λ per start.
 
@@ -401,8 +399,8 @@ def _minimize_batch(
     falls below 1e-30 (converged), its gradient norm below 1e-15
     (flat-gradient), no step lowers its cost within 25 λ tries or before
     λ exceeds 1e10 (no-step), an accepted step gains less than a
-    relative 1e-9 while its cost is above ``reject_threshold``
-    (stagnated), or after ``max_iterations`` steps.
+    relative 1e-9 while its cost is above REJECT_THRESHOLD (stagnated),
+    or after MAX_ITERATIONS steps.
     """
     x = problem.renormalize(np.concatenate(factors, axis=1))
     out_x, out_reason = np.empty_like(x), np.empty(len(x), dtype=np.intp)
@@ -421,7 +419,7 @@ def _minimize_batch(
         x, rows, cost, lam = x[keep], rows[keep], cost[keep], lam[keep]
 
     diag = np.arange(problem.n_params)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         retire(cost < 1e-30, _CONVERGED)
         if not rows.size:
             break
@@ -456,7 +454,7 @@ def _minimize_batch(
             searching[lost[lam[lost] > 1e10]] = False
         retire(~stepped, _NO_STEP)
         rel = rel[stepped]
-        retire((rel < 1e-9) & (cost > reject_threshold), _STAGNATED)
+        retire((rel < 1e-9) & (cost > REJECT_THRESHOLD), _STAGNATED)
     retire(np.ones(rows.size, dtype=bool), _MAX_ITERATIONS)
     factors = [out_x[:, p] for p in problem.parties]
     return factors, problem.cost(out_x, penalty=False), out_reason
@@ -566,7 +564,7 @@ def solve(
     for lo in range(0, restarts, batch):
         rows = min(batch, restarts - lo)
         starts = problem.complex_factors(rng.standard_normal((rows, problem.n_params)))
-        factors, costs, why = _minimize_batch(problem, starts, MAX_ITERATIONS, REJECT_THRESHOLD)
+        factors, costs, why = _minimize_batch(problem, starts)
         floor = min(floor, float(costs.min()))
         reasons += np.bincount(why, minlength=len(EXIT_REASONS))
         ok = costs < config.accept_threshold

@@ -16,6 +16,7 @@ from prodvec.errors import ParseError
 from prodvec.mpstate import build_separable, maximally_mixed, write_state
 from prodvec.solvability import problem_spec
 from prodvec.solver import product_vector, random_instance
+from test_mpstate import tiles_upb
 
 EX25_DOC = {
     "dims": [2, 2, 4],
@@ -26,6 +27,9 @@ EX25_DOC = {
         {"subset": [], "codim": 1},
     ],
 }
+
+# a unit complement basis row on 2 (x) 2
+UNIT_ROW = ["1+0i", "0+0i", "0+0i", "0+0i"]
 
 
 def format_spec_text(spec, constraints=None):
@@ -93,6 +97,37 @@ class TestSpecFiles:
         assert spec.constraints[0].codim == 1
         assert explicit[0].complement_basis[0, 0] == 0.5 + 0.5j
         assert explicit[0].complement_basis[0, 3] == 0.5 - 0.5j
+
+    @pytest.mark.parametrize(
+        "constraints, message",
+        [
+            ([{"complement_basis": [[1] + UNIT_ROW[1:]]}],
+             "constraints[0].complement_basis[0]: invalid complex literal 1 (expected a string)"),
+            (None, "top-level value must be an object"),
+            ([1], "constraints[0] must be an object"),
+            ([{"subset": ["2"], "codim": 1}], "constraints[0].subset must be a list of integers"),
+            ([{"complement_basis": "1+0i"}],
+             "constraints[0].complement_basis must be a list of vectors"),
+            ([{"complement_basis": [UNIT_ROW[:2]]}],
+             "constraints[0].complement_basis[0] must be a list of 4 complex literals"),
+            ([{"complement_basis": [["1+0j"] + UNIT_ROW[1:]]}],
+             "constraints[0].complement_basis[0]: invalid complex literal '1+0j' (expected a+bi)"),
+            ([{"subset": [], "codim": -1}], "constraints[0].codim must be a non-negative integer"),
+            ([{"complement_basis": [UNIT_ROW], "codim": 2}],
+             "constraints[0]: codim 2 does not match basis rows 1"),
+            ([{"complement_basis": [UNIT_ROW]}, {"subset": [2], "codim": 1}],
+             "either all constraints or none must carry complement_basis"),
+        ],
+        ids=["non-string-literal", "top-level", "constraint", "subset", "basis-type",
+             "row-length", "bad-literal", "codim-type", "codim-rows", "mixed-bases"],
+    )
+    def test_refusals_exit_2(self, capsys, tmp_path, constraints, message):
+        # a top level that is a list, not an object, when constraints is None
+        doc = [] if constraints is None else {"dims": [2, 2], "constraints": constraints}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, ["verdict", str(path)])
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_json_error_position(self):
         try:
@@ -302,6 +337,69 @@ class TestCommands:
         _, explicit, _ = run(capsys, argv + ["--tol", "1e-9"])
         assert rc == 0
         assert default == explicit
+
+    def test_solve_default_tol_is_the_accept_threshold(self, capsys, tmp_path):
+        path = tmp_path / "ex25.json"
+        path.write_text(json.dumps(EX25_DOC))
+        argv = ["solve", str(path), "--seed", "3", "--restarts", "20"]
+        rc, default, _ = run(capsys, argv)
+        _, explicit, _ = run(capsys, argv + ["--tol", "1e-14"])
+        assert rc == 0
+        assert default == explicit
+
+    def test_edge_candidate_on_the_tiles_upb_state(self, capsys, tmp_path):
+        path = tmp_path / "tiles.state"
+        path.write_text(write_state(tiles_upb()))
+        rc, out, err = run(capsys, ["edge", str(path), "--seed", "1"])
+        assert (rc, err) == (0, "")
+        lines = out.splitlines()
+        assert "classification: candidate-edge" in lines
+        assert [line.split()[2:4] for line in lines if line.startswith("subset ")] == [
+            ["rank", "4"], ["rank", "4"]
+        ]
+        assert "rank_inequality_satisfied: true" in lines
+        for line in ("  equations: 10", "  unknowns: 4", "  restarts: 500", "  solutions: 0"):
+            assert line in lines
+        assert not any(line.startswith("warning:") for line in lines)
+        assert "witness:" not in lines
+
+    def test_edge_without_restarts_is_inconsistent(self, capsys, tmp_path):
+        # no restart finds a witness although N_E = 0 <= N_U = 2, and the
+        # report flags it
+        path = tmp_path / "mixed.state"
+        path.write_text(write_state(maximally_mixed((2, 2))))
+        rc, out, err = run(capsys, ["edge", str(path), "--restarts", "0"])
+        assert (rc, err) == (0, "")
+        assert out == (
+            "schema: prodvec-report/8\n"
+            "command: edge\n"
+            "seed: 0\n"
+            "ppt: true\n"
+            "classification: inconsistent-with-rank-bound\n"
+            "subset {}: rank 4 min_eig 2.500e-01 cut_gap 0.000e+00/2.500e-01\n"
+            "subset {2}: rank 4 min_eig 2.500e-01 cut_gap 0.000e+00/2.500e-01\n"
+            "sum_of_ranks: 8\n"
+            "bound: 6\n"
+            "rank_inequality_satisfied: false\n"
+            "warning: no compatible product vector found although the rank sum"
+            " reaches the bound; treat with suspicion (the bound is open in"
+            " some systems)\n"
+            "decision:\n"
+            "  kind: infinitely-many\n"
+            "  basis: underdetermined-nonvanishing\n"
+            "  generic: false\n"
+            "  equations: 0\n"
+            "  unknowns: 2\n"
+            "  sigma_rank: 2\n"
+            "  top_coefficient: 0\n"
+            "  product_vanishes: false\n"
+            "numerical:\n"
+            "  seed: 0\n"
+            "  restarts: 0\n"
+            "  distinct_count: 0\n"
+            "  residual_floor: inf\n"
+            "  solutions: 0\n"
+        )
 
     @pytest.mark.parametrize("a, b", [(-1, 0), (2**63, 2**63 + 1)])
     def test_wide_seeds_draw_their_own_streams(self, capsys, tmp_path, a, b):

@@ -12,6 +12,7 @@ import pytest
 from prodvec import mpstate
 from prodvec.errors import ParseError, UnsupportedSizeError
 from prodvec.mpstate import (
+    CANDIDATE_EDGE,
     INCONSISTENT,
     NOT_APPLICABLE,
     NOT_EDGE,
@@ -83,6 +84,21 @@ def symmetric_times_mixed():
     return density_matrix((2, 2, 2), np.kron(sym / 3, np.eye(2) / 2) + 0j)
 
 
+def tiles_upb():
+    """The Tiles UPB state on 3 (x) 3, (I - sum_i |psi_i><psi_i|) / 4 (Bennett
+    et al., PRL 82, 5385, 1999).  Its range holds no product vector, nor does
+    that of its partial transpose: a PPT entangled edge state."""
+    e = np.eye(3)
+    psi = [
+        np.kron(e[0], e[0] - e[1]) / np.sqrt(2),
+        np.kron(e[0] - e[1], e[2]) / np.sqrt(2),
+        np.kron(e[2], e[1] - e[2]) / np.sqrt(2),
+        np.kron(e[1] - e[2], e[0]) / np.sqrt(2),
+        np.kron(e.sum(0), e.sum(0)) / 3,
+    ]
+    return density_matrix((3, 3), (np.eye(9) - sum(np.outer(p, p) for p in psi)) / 4 + 0j)
+
+
 def recording(monkeypatch, names):
     """Wrap the numpy.linalg functions in ``names``; the returned list gets
     (name, copy of the argument) per call, in call order."""
@@ -98,17 +114,20 @@ def recording(monkeypatch, names):
     return seen
 
 
-def not_ppt_spectra(calls):
-    """Stand-in for mpstate._decompose: every partial transpose has -1 as its
-    only eigenvalue, so the state is not PPT; records the dims it sees."""
+def not_ppt_profile(calls):
+    """Stand-in for mpstate.rank_profile: every partial transpose has -1 as
+    its least eigenvalue, so the state is not PPT; records the dims it sees."""
 
-    def decompose(rho, tol):
+    def profile(rho, tol):
         assert tol == mpstate.DEFAULT_RANK_TOL
         calls.append(rho.dims)
-        subsets = canonical_subsets(rho.n_parties)
-        return mpstate._Spectra(subsets, -np.ones((len(subsets), 1)), None)
+        records = tuple(
+            mpstate.SubsetRank(s, 1, -1.0, 0.0, 1.0, None)
+            for s in canonical_subsets(rho.n_parties)
+        )
+        return mpstate.RankProfile(records, len(records), 0)
 
-    return decompose
+    return profile
 
 
 class TestPartialTranspose:
@@ -346,6 +365,19 @@ class TestEdgeAnalysis:
         assert report.classification == NOT_APPLICABLE
         assert report.profile is None
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiles_upb_state_is_a_candidate_edge(self, seed):
+        # no restart reaches a product vector, and N_E = 10 > N_U = 4
+        report = edge_analysis(tiles_upb(), SolverConfig(seed=seed))
+        assert report.ppt
+        assert report.classification == CANDIDATE_EDGE
+        assert [r.rank for r in report.profile.records] == [4, 4]
+        assert (report.decision.n_equations, report.decision.n_unknowns) == (10, 4)
+        assert report.inequality_satisfied
+        assert report.witness is None
+        assert report.solve_report.solutions == ()
+        assert report.solve_report.residual_floor > 1e-2
+
     def test_ranges_taken_from_the_profile(self, monkeypatch):
         # one eigvalsh of every canonical transpose, then one eigh of the
         # deficient ones, all four here, shared by is_ppt and rank_profile;
@@ -408,10 +440,9 @@ class TestEdgeAnalysis:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (12,)])
     def test_stacked_transposes_bit_for_bit(self, monkeypatch, dims):
-        # every slice of the stack is the partial transpose; a row of
-        # eigenvalues is the one a separate eigvalsh gives it, or for a
-        # deficient transpose the one a separate eigh gives, with the
-        # complement of that eigh's range
+        # every slice of the stack is the partial transpose; each record is
+        # read off a separate eigvalsh of it, or for a deficient transpose
+        # off a separate eigh, with the complement of that eigh's range
         tol = mpstate.DEFAULT_RANK_TOL
         d = math.prod(dims)
         states = [
@@ -421,24 +452,32 @@ class TestEdgeAnalysis:
         ]
         for rho in states:
             seen = recording(monkeypatch, ["eigvalsh", "eigh"])
-            spectra = mpstate._decompose(rho, tol)
+            profile = rank_profile(rho, tol)
             monkeypatch.undo()
             stack = seen[0][1]
             assert seen[0][0] == "eigvalsh"
-            assert spectra.subsets == canonical_subsets(len(dims))
+            assert [r.subset for r in profile.records] == canonical_subsets(len(dims))
             deficient = []
-            for k, s in enumerate(spectra.subsets):
-                pt = partial_transpose(rho, s).mat
+            for k, r in enumerate(profile.records):
+                pt = partial_transpose(rho, r.subset).mat
                 assert np.array_equal(stack[k], pt)
                 w = np.linalg.eigvalsh(pt)
-                if not mpstate._in_range(w, tol).all():
+                keep = mpstate._in_range(w, tol)
+                if not keep.all():
                     deficient.append(k)
                     w, v = np.linalg.eigh(pt)
                     keep = mpstate._in_range(w, tol)
-                    assert np.array_equal(spectra.complements[k], v[:, ~keep].T)
+                    assert np.array_equal(r.complement, v[:, ~keep].T)
                 else:
-                    assert spectra.complements[k].shape == (0, d)
-                assert np.array_equal(spectra.w[k], w)
+                    assert r.complement.shape == (0, d)
+                sv = np.abs(w)
+                rank = int(keep.sum())
+                below = sv[~keep].max() if rank < d else 0.0
+                above = sv[keep].min() if rank else 0.0
+                assert r.rank == rank
+                assert [x.hex() for x in (r.min_eigenvalue, r.gap_below, r.gap_above)] == [
+                    float(x).hex() for x in (w[0], below, above)
+                ]
             if deficient:
                 assert [name for name, _ in seen] == ["eigvalsh", "eigh"]
                 assert np.array_equal(seen[1][1], stack[deficient])
@@ -471,7 +510,7 @@ class TestEdgeAnalysis:
         calls = []
         monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eig)
         monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
-        monkeypatch.setattr(mpstate, "_decompose", not_ppt_spectra(calls))
+        monkeypatch.setattr(mpstate, "rank_profile", not_ppt_profile(calls))
         rho = maximally_mixed(dims)
         work = 2 ** (len(dims) - 1) * rho.dim**3
         assert (work <= mpstate.MAX_EDGE_WORK) == admitted
@@ -500,7 +539,7 @@ class TestEdgeAnalysis:
         calls = []
         monkeypatch.setattr(mpstate.np.linalg, "eigvalsh", no_eig)
         monkeypatch.setattr(mpstate.np.linalg, "eigh", no_eig)
-        monkeypatch.setattr(mpstate, "_decompose", not_ppt_spectra(calls))
+        monkeypatch.setattr(mpstate, "rank_profile", not_ppt_profile(calls))
         rho = maximally_mixed(dims)
         config = SolverConfig(restarts=restarts)
         if admitted:

@@ -546,12 +546,10 @@ class TestBatching:
         problem = solver._Problem(dims, constraints)
         starts = restart_starts(dims, 21, 40)
         factors, costs, reasons = solver._minimize_batch(
-            problem, [np.array(f) for f in zip(*starts)], 120, 1e-8
+            problem, [np.array(f) for f in zip(*starts)]
         )
         for i, start in enumerate(starts):
-            one, cost, reason = solver._minimize_batch(
-                problem, [f[None] for f in start], 120, 1e-8
-            )
+            one, cost, reason = solver._minimize_batch(problem, [f[None] for f in start])
             assert cost[0] == costs[i]
             assert reason[0] == reasons[i]
             for a, b in zip(one, factors):
