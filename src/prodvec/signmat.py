@@ -138,8 +138,8 @@ def parse_matrix_text(text: str) -> SignMatrix:
     width = None
     lineno = 0
     ended_at = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             if rows and ended_at is None:
                 ended_at = lineno
@@ -148,7 +148,8 @@ def parse_matrix_text(text: str) -> SignMatrix:
             raise ParseError(f"row follows blank line {ended_at}, which ends the matrix", lineno)
         for col, ch in enumerate(line, start=1):
             if ch not in "+-":
-                raise ParseError(f"invalid character {ch!r} in matrix", lineno, col)
+                indent = len(raw) - len(raw.lstrip())  # columns count in the raw line
+                raise ParseError(f"invalid character {ch!r} in matrix", lineno, indent + col)
         if width is None:
             width = len(line)
         elif len(line) != width:

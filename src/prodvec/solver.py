@@ -103,7 +103,9 @@ class ProductVector:
 def _canonical(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """ProductVector's convention on each row of (B, d_j) factor stacks, bit for
     bit as on one row alone: norms use 1-d np.linalg.norm's dot products, and
-    phases are numpy-scalar quotients (array division differs in the last bit)."""
+    the phase conj(a)/|a| is numpy's scalar complex division by a real, |a|
+    being hypot as in the scalar abs (array np.abs and array division each
+    differ from it in the last bit)."""
     out = []
     for f in factors:
         re, im = f.real, f.imag
@@ -112,7 +114,11 @@ def _canonical(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
             raise ValueError("zero factor")
         f = f / norm[:, None]
         a = f[np.arange(len(f)), (np.abs(f) > _PHASE_EPS).argmax(axis=1)]
-        phase = np.array([z.conjugate() / abs(z) for z in a], dtype=complex)
+        scale = 1 / np.hypot(a.real, a.imag)
+        # the quotient's own terms, rat = 0.0 included, so signed zeros survive
+        phase = np.empty_like(a)
+        phase.real = (a.real - a.imag * 0.0) * scale
+        phase.imag = (-a.imag - a.real * 0.0) * scale
         out.append(f * phase[:, None])
     return out
 
@@ -300,9 +306,11 @@ class _Problem:
         """Unit factors; a factor of norm below 1e-150 becomes the first basis vector."""
         norm = np.sqrt(self.sq_norms(x))
         tiny = norm < 1e-150
-        out = x.view(float) / np.repeat(np.where(tiny, 1.0, norm), self.param_dims, axis=1)
-        out = out.view(complex)
-        if tiny.any():
+        some_tiny = tiny.any()
+        if some_tiny:
+            norm[tiny] = 1.0
+        out = (x.view(float) / np.repeat(norm, self.param_dims, axis=1)).view(complex)
+        if some_tiny:
             out = np.where(np.repeat(tiny, self.dims, axis=1), self.first, out)
         return out
 
@@ -321,13 +329,16 @@ class _Problem:
 
     def cost(self, x: np.ndarray, penalty: bool = True) -> np.ndarray:
         """Squared residual norm of each row, with or without the norm penalties."""
-        total = np.zeros(len(x))
         xc = x.conj()
+        terms = []
         for conj, moved, *_ in self.constraints:
             z = _contract(moved[0], self._phi(x, xc, conj)).view(float)
-            total += (z * z).sum(axis=1)
+            terms.append((z * z).sum(axis=1))
         if penalty:
-            total += ((self.sq_norms(x) - 1.0) ** 2).sum(axis=1)
+            terms.append(((self.sq_norms(x) - 1.0) ** 2).sum(axis=1))
+        total = terms[0] if terms else np.zeros(len(x))
+        for term in terms[1:]:
+            total += term
         return total
 
     def normal_equations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,15 +429,15 @@ def _minimize_batch(
         keep = ~mask
         x, rows, cost, lam = x[keep], rows[keep], cost[keep], lam[keep]
 
-    diag = np.arange(problem.n_params)
     for _ in range(MAX_ITERATIONS):
         retire(cost < 1e-30, _CONVERGED)
         if not rows.size:
             break
         jtj, g = problem.normal_equations(x)
         flat = np.sqrt((g * g).sum(axis=1)) < 1e-15
-        jtj, g = jtj[~flat], g[~flat]
-        retire(flat, _FLAT_GRADIENT)
+        if flat.any():
+            jtj, g = jtj[~flat], g[~flat]
+            retire(flat, _FLAT_GRADIENT)
         stepped = np.zeros(rows.size, dtype=bool)
         searching = np.ones(rows.size, dtype=bool)
         rel = np.zeros(rows.size)
@@ -434,11 +445,31 @@ def _minimize_batch(
             trying = np.flatnonzero(searching)
             if not trying.size:
                 break
-            damped = jtj[trying]
-            damped[:, diag, diag] += lam[trying, None]
-            delta, ok = _solve_rows(damped, -g[trying])
+            # while every live row tries (no row has stepped), the try runs
+            # on the batch as it is and picks its rows by mask; a try on a
+            # subset, or with an unsolved row, gathers and scatters them
+            whole = trying.size == rows.size
+            if whole:
+                damped, lam_try, g_try = jtj.copy(), lam, g
+            else:
+                damped, lam_try, g_try = jtj[trying], lam[trying], g[trying]
+            damped.reshape(trying.size, -1)[:, :: problem.n_params + 1] += lam_try[:, None]
+            delta, ok = _solve_rows(damped, -g_try)
+            if whole and ok.all():
+                trial = problem.step(x, delta)
+                trial_cost = problem.cost(trial)
+                better = trial_cost < cost
+                rel = np.where(better, (cost - trial_cost) / np.maximum(cost, 1e-300), rel)
+                x = np.where(better[:, None], trial, x)
+                cost = np.where(better, trial_cost, cost)
+                lam = np.where(better, np.maximum(lam / 3.0, 1e-14), lam * 10.0)
+                stepped = better
+                searching = ~better & (lam <= 1e10)
+                continue
             lam[trying[~ok]] *= 10.0
             tried = trying[ok]
+            if not tried.size:  # no row to step; an empty batch cannot be contracted
+                continue
             trial = problem.step(x[tried], delta[ok])
             trial_cost = problem.cost(trial)
             better = trial_cost < cost[tried]
@@ -475,12 +506,13 @@ def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> lis
     1 - tol, and the class's lowest-cost row (the first on ties)
     represents it.
     """
+    conj = [f.conj() for f in factors]
     unplaced = np.arange(len(costs))
     reps = []
     while unplaced.size:
         overlap = np.ones(unplaced.size)
-        for f in factors:
-            overlap *= np.abs(f[unplaced].conj() @ f[unplaced[0]])
+        for f, fc in zip(factors, conj):
+            overlap *= np.abs(fc[unplaced] @ f[unplaced[0]])
         member = overlap > 1.0 - tol
         member[0] = True  # whatever the rounding of its self-overlap
         cls = unplaced[member]

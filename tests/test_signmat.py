@@ -194,6 +194,11 @@ class TestTextFormat:
             parse_matrix_text("++\n+x\n")
         assert err.value.line == 2
         assert err.value.column == 2
+        # columns count from the start of the raw line, indentation included
+        for text, column in (("  ++\n  +x\n", 4), ("\t++\n\t+x\n", 3)):
+            with pytest.raises(ParseError) as err:
+                parse_matrix_text(text)
+            assert (err.value.line, err.value.column) == (2, column)
 
     def test_ragged_rejected(self):
         with pytest.raises(ParseError):

@@ -100,9 +100,25 @@ class TestProductVector:
         stack = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
         stack[::3, :2] = 0  # rows whose first components are zero
         stack *= 10.0 ** rng.integers(-6, 6, size=(300, 1))
-        (rows,) = solver._canonical([stack])
-        expected = np.stack([reference(v) for v in stack])
-        assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+        # leading entries with signed-zero parts, of either sign, tiny, and
+        # just above, at and just below the 1e-12 phase threshold
+        edges = np.array(
+            [
+                [complex(re, im), 0.6, 0.8j, 0]
+                for re in (3.0, -3.0, 1e-300, -1e-300, 0.0, -0.0)
+                for im in (0.0, -0.0, 4.0, -4.0, 1e-300)
+                if re or im
+            ]
+            + [
+                [complex(lead, sign * lead), 0.6, -0.8, 0]
+                for lead in (1.01e-12, 1e-12, 0.99e-12)
+                for sign in (0.0, -0.0, 1.0, -1.0)
+            ]
+        )
+        for rows in (stack, edges, edges[:1], edges[:0]):
+            (canonical,) = solver._canonical([rows])
+            expected = np.array([reference(v) for v in rows], dtype=complex).reshape(rows.shape)
+            assert np.array_equal(canonical.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPartialConjugate:
@@ -541,19 +557,51 @@ BATCH_SHAPES = [
 
 class TestBatching:
     @pytest.mark.parametrize("dims,cons", BATCH_SHAPES)
-    def test_restart_independent_of_batch(self, dims, cons):
+    def test_restart_independent_of_batch(self, dims, cons, monkeypatch):
         constraints = random_instance(problem_spec(dims, cons), 21)
         problem = solver._Problem(dims, constraints)
         starts = restart_starts(dims, 21, 40)
-        factors, costs, reasons = solver._minimize_batch(
-            problem, [np.array(f) for f in zip(*starts)]
-        )
-        for i, start in enumerate(starts):
-            one, cost, reason = solver._minimize_batch(problem, [f[None] for f in start])
-            assert cost[0] == costs[i]
-            assert reason[0] == reasons[i]
-            for a, b in zip(one, factors):
-                assert np.array_equal(a[0], b[i])
+
+        def assert_batch_matches_alone():
+            factors, costs, reasons = solver._minimize_batch(
+                problem, [np.array(f) for f in zip(*starts)]
+            )
+            for i, start in enumerate(starts):
+                one, cost, reason = solver._minimize_batch(problem, [f[None] for f in start])
+                assert cost[0] == costs[i]
+                assert reason[0] == reasons[i]
+                for a, b in zip(one, factors):
+                    assert np.array_equal(a[0], b[i])
+
+        # every try solved: each iteration's first try runs on the whole batch
+        assert_batch_matches_alone()
+
+        # on an iteration's first try a row counts as unsolved when the xor of
+        # its damped system's words is 0 mod 4: a choice made by the row's own
+        # numbers, so it falls the same way alone and in a batch, where the
+        # whole-batch try then takes the gathering path
+        solve_rows, normal_equations = solver._solve_rows, problem.normal_equations
+        first_try, mixed = [], []
+
+        def new_iteration(x):
+            first_try.append(True)
+            return normal_equations(x)
+
+        def some_unsolved(a, b):
+            x, ok = solve_rows(a, b)
+            if first_try:
+                first_try.clear()
+                words = a.reshape(len(a), -1).view(np.uint64)
+                hit = np.bitwise_xor.reduce(words, axis=1) % 4 == 0
+                mixed.append(0 < hit.sum() < len(a))
+                x[hit] = 0.0
+                ok &= ~hit
+            return x, ok
+
+        monkeypatch.setattr(problem, "normal_equations", new_iteration)
+        monkeypatch.setattr(solver, "_solve_rows", some_unsolved)
+        assert_batch_matches_alone()
+        assert any(mixed)
 
     def test_chunked_report_equals_unchunked(self, monkeypatch):
         dims = (2, 2, 2)
