@@ -83,6 +83,8 @@ def parse_spec_text(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deep") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     if "dims" not in doc:
@@ -161,8 +163,11 @@ def parse_spec_text(
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -171,8 +176,13 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
+
+
+def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> ParseError:
+    reason = f"not {exc.encoding} text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+    return ParseError(f"cannot read {path}: {reason}")
 
 
 def _subset_str(subset) -> str:
@@ -304,8 +314,8 @@ def _cmd_edge(args) -> list[str]:
     try:
         with open(args.state) as fh:
             rho = mpstate.read_state(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.state}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(args.state, exc) from None
     report = mpstate.edge_analysis(
         rho, _solver_config(args), rank_tol=args.rank_tol
     )
@@ -482,13 +492,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.func(args)
+        _emit([f"schema: {SCHEMA}"] + lines, args.out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit([f"schema: {SCHEMA}"] + lines, args.out)
     return 0
 
 

@@ -412,6 +412,13 @@ def _minimize_batch(
     λ exceeds 1e10 (no-step), an accepted step gains less than a
     relative 1e-9 while its cost is above REJECT_THRESHOLD (stagnated),
     or after MAX_ITERATIONS steps.
+
+    Every λ try of an iteration runs on the rows still searching, kept
+    compacted: the first on the live batch as it is, each later one on
+    the rows the last left.  A try steps every such row, an unsolved one
+    by the zero delta ``_solve_rows`` gives it, and accepts a solved
+    row's step when it lowers the cost; λ falls on acceptance and rises
+    tenfold otherwise.  An unsolved row searches on at any λ.
     """
     x = problem.renormalize(np.concatenate(factors, axis=1))
     out_x, out_reason = np.empty_like(x), np.empty(len(x), dtype=np.intp)
@@ -438,51 +445,32 @@ def _minimize_batch(
         if flat.any():
             jtj, g = jtj[~flat], g[~flat]
             retire(flat, _FLAT_GRADIENT)
-        stepped = np.zeros(rows.size, dtype=bool)
-        searching = np.ones(rows.size, dtype=bool)
-        rel = np.zeros(rows.size)
-        for _ in range(25):
-            trying = np.flatnonzero(searching)
-            if not trying.size:
+            if not rows.size:  # an empty batch cannot be contracted
                 break
-            # while every live row tries (no row has stepped), the try runs
-            # on the batch as it is and picks its rows by mask; a try on a
-            # subset, or with an unsolved row, gathers and scatters them
-            whole = trying.size == rows.size
-            if whole:
-                damped, lam_try, g_try = jtj.copy(), lam, g
-            else:
-                damped, lam_try, g_try = jtj[trying], lam[trying], g[trying]
-            damped.reshape(trying.size, -1)[:, :: problem.n_params + 1] += lam_try[:, None]
-            delta, ok = _solve_rows(damped, -g_try)
-            if whole and ok.all():
-                trial = problem.step(x, delta)
-                trial_cost = problem.cost(trial)
-                better = trial_cost < cost
-                rel = np.where(better, (cost - trial_cost) / np.maximum(cost, 1e-300), rel)
-                x = np.where(better[:, None], trial, x)
-                cost = np.where(better, trial_cost, cost)
-                lam = np.where(better, np.maximum(lam / 3.0, 1e-14), lam * 10.0)
-                stepped = better
-                searching = ~better & (lam <= 1e10)
-                continue
-            lam[trying[~ok]] *= 10.0
-            tried = trying[ok]
-            if not tried.size:  # no row to step; an empty batch cannot be contracted
-                continue
-            trial = problem.step(x[tried], delta[ok])
+        stepped = np.zeros(rows.size, dtype=bool)
+        rel = np.zeros(rows.size)
+        # the rows still searching, compacted; the first try takes the batch as it is
+        idx, sx, sjtj, sg, scost, slam = np.arange(rows.size), x, jtj, g, cost, lam
+        for _ in range(25):
+            damped = sjtj.copy()
+            damped.reshape(idx.size, -1)[:, :: problem.n_params + 1] += slam[:, None]
+            delta, ok = _solve_rows(damped, -sg)
+            trial = problem.step(sx, delta)
             trial_cost = problem.cost(trial)
-            better = trial_cost < cost[tried]
-            won = tried[better]
-            rel[won] = (cost[won] - trial_cost[better]) / np.maximum(cost[won], 1e-300)
+            better = ok & (trial_cost < scost)
+            won = idx[better]
+            rel[won] = (scost[better] - trial_cost[better]) / np.maximum(scost[better], 1e-300)
             x[won] = trial[better]
             cost[won] = trial_cost[better]
-            lam[won] = np.maximum(lam[won] / 3.0, 1e-14)
             stepped[won] = True
-            searching[won] = False
-            lost = tried[~better]
-            lam[lost] *= 10.0
-            searching[lost[lam[lost] > 1e10]] = False
+            slam = np.where(better, np.maximum(slam / 3.0, 1e-14), slam * 10.0)
+            lam[idx] = slam
+            # an unsolved row searches on at any λ
+            keep = ~better & ((slam <= 1e10) | ~ok)
+            if not keep.any():
+                break
+            idx, sx, sjtj, sg = idx[keep], sx[keep], sjtj[keep], sg[keep]
+            scost, slam = scost[keep], slam[keep]
         retire(~stepped, _NO_STEP)
         rel = rel[stepped]
         retire((rel < 1e-9) & (cost > REJECT_THRESHOLD), _STAGNATED)

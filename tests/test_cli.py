@@ -458,6 +458,39 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["permanent", "/nonexistent/m.mat"])
         assert rc == 2
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_2(self, capsys, tmp_path, where):
+        src = tmp_path / "m.mat"
+        src.write_text("++\n++\n")
+        dst = tmp_path / "no" / "report.txt" if where == "missing-dir" else tmp_path
+        rc, out, err = run(capsys, ["permanent", str(src), "--out", str(dst)])
+        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        assert (rc, out, err) == (2, "", f"error: cannot write {dst}: {reason}\n")
+
+    def test_deep_nesting_is_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        rc, out, err = run(capsys, ["verdict", str(path)])
+        assert (rc, out, err) == (2, "", "error: arrays or objects nested too deep\n")
+
+    @pytest.mark.parametrize(
+        "command,raw",
+        [
+            ("verdict", b'\xff{"dims": [2, 2]}'),
+            ("permanent", b"\xff++\n++\n"),
+            ("edge", b"\xffdims: 2 2\n0 0 1 0\n"),
+            ("edge", b"dims: 2 2\n0 0 1 0\n\xff"),
+        ],
+        ids=["verdict", "permanent", "edge", "edge-body"],
+    )
+    def test_non_utf8_input_is_2(self, capsys, tmp_path, command, raw):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(raw)
+        rc, out, err = run(capsys, [command, str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: not ")
+        assert err.count("\n") == 1
+
     def test_domain_error_is_1(self, capsys, tmp_path):
         path = tmp_path / "wide.mat"
         path.write_text("+++\n+++\n")

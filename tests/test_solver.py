@@ -383,6 +383,24 @@ class TestSolve:
         assert sum(report.exit_reasons.values()) == 40
         assert report.exit_reasons["converged"] > 0
 
+    # reports do not print exit_reasons, so these pin every restart's exit
+    # from each stage of the damped Gauss-Newton loop
+    @pytest.mark.parametrize(
+        "dims,cons,seed,restarts,expected",
+        [
+            ((2, 2), [((), 2)], 12, 40, (39, 1, 0, 0, 0)),
+            (None, None, 5, 300, (0, 0, 58, 242, 0)),
+            ((4, 4), [((), 10)], 1, 60, (0, 0, 0, 44, 16)),
+        ],
+    )
+    def test_exit_reasons_are_pinned(self, dims, cons, seed, restarts, expected):
+        if dims is None:
+            dims, constraints = (2, 2), two_qubit_infeasible()
+        else:
+            constraints = random_instance(problem_spec(dims, cons), seed)
+        report = solve(constraints, dims, SolverConfig(restarts=restarts, seed=seed))
+        assert report.exit_reasons == dict(zip(EXIT_REASONS, expected))
+
     def test_vectors_built_only_for_representatives(self, monkeypatch):
         built = []
         real = solver.ProductVector
@@ -555,6 +573,19 @@ BATCH_SHAPES = [
 ]
 
 
+def assert_batch_matches_alone(problem, starts):
+    """Minimize ``starts`` as one batch and each alone; every start must end
+    bit for bit the same.  Returns the batch's result."""
+    factors, costs, reasons = solver._minimize_batch(problem, [np.array(f) for f in zip(*starts)])
+    for i, start in enumerate(starts):
+        one, cost, reason = solver._minimize_batch(problem, [f[None] for f in start])
+        assert cost[0] == costs[i]
+        assert reason[0] == reasons[i]
+        for a, b in zip(one, factors):
+            assert np.array_equal(a[0], b[i])
+    return factors, costs, reasons
+
+
 class TestBatching:
     @pytest.mark.parametrize("dims,cons", BATCH_SHAPES)
     def test_restart_independent_of_batch(self, dims, cons, monkeypatch):
@@ -562,24 +593,13 @@ class TestBatching:
         problem = solver._Problem(dims, constraints)
         starts = restart_starts(dims, 21, 40)
 
-        def assert_batch_matches_alone():
-            factors, costs, reasons = solver._minimize_batch(
-                problem, [np.array(f) for f in zip(*starts)]
-            )
-            for i, start in enumerate(starts):
-                one, cost, reason = solver._minimize_batch(problem, [f[None] for f in start])
-                assert cost[0] == costs[i]
-                assert reason[0] == reasons[i]
-                for a, b in zip(one, factors):
-                    assert np.array_equal(a[0], b[i])
-
-        # every try solved: each iteration's first try runs on the whole batch
-        assert_batch_matches_alone()
+        # every try solved
+        assert_batch_matches_alone(problem, starts)
 
         # on an iteration's first try a row counts as unsolved when the xor of
         # its damped system's words is 0 mod 4: a choice made by the row's own
         # numbers, so it falls the same way alone and in a batch, where the
-        # whole-batch try then takes the gathering path
+        # try steps it by a zero delta beside the solved rows
         solve_rows, normal_equations = solver._solve_rows, problem.normal_equations
         first_try, mixed = [], []
 
@@ -600,8 +620,32 @@ class TestBatching:
 
         monkeypatch.setattr(problem, "normal_equations", new_iteration)
         monkeypatch.setattr(solver, "_solve_rows", some_unsolved)
-        assert_batch_matches_alone()
+        assert_batch_matches_alone(problem, starts)
         assert any(mixed)
+
+    def test_never_solved_row_retires_no_step(self, monkeypatch):
+        dims, cons = BATCH_SHAPES[0]
+        problem = solver._Problem(dims, random_instance(problem_spec(dims, cons), 21))
+        starts = restart_starts(dims, 21, 12)
+        target = 5
+        # the row never steps, so every try hands _solve_rows its first gradient
+        x0 = problem.renormalize(np.concatenate([f[None] for f in starts[target]], axis=1))
+        _, g0 = problem.normal_equations(x0)
+        solve_rows, hits = solver._solve_rows, []
+
+        def never_solves_target(a, b):
+            x, ok = solve_rows(a, b)
+            hit = (b == -g0).all(axis=1)
+            hits.append(int(hit.sum()))
+            x[hit] = 0.0
+            return x, ok & ~hit
+
+        monkeypatch.setattr(solver, "_solve_rows", never_solves_target)
+        factors, _, reasons = assert_batch_matches_alone(problem, starts)
+        # 25 tries in the batch, 25 alone
+        assert sum(hits) == 2 * 25
+        assert EXIT_REASONS[reasons[target]] == "no-step"
+        assert np.array_equal(np.concatenate([f[target] for f in factors]), x0[0])
 
     def test_chunked_report_equals_unchunked(self, monkeypatch):
         dims = (2, 2, 2)
