@@ -29,12 +29,16 @@ of product vectors that satisfy them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from collections.abc import Sequence
+from typing import TextIO
 
 import numpy as np
 
@@ -160,16 +164,31 @@ def parse_spec_text(
 # -- report rendering -----------------------------------------------------------
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
+def _open_out(path: str) -> TextIO:
+    """``--out``, opened before the command runs so that an unwritable path
+    is refused at once.  Append mode leaves an existing file's bytes as they
+    are until ``_emit`` replaces them: a failing command truncates nothing,
+    and a command may read its input from the same path.  Only a regular
+    file is emptied first; a device or a pipe, such as /dev/stdout, is
+    written as it is."""
+    try:
+        return open(path, "a")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(lines: list[str], out: TextIO | None) -> None:
     text = "\n".join(lines) + "\n"
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {out_path}: {exc.strerror}") from None
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    try:
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
+        out.write(text)
+        out.close()  # a failed flush closes the file too
+    except OSError as exc:
+        raise ParseError(f"cannot write {out.name}: {exc.strerror}") from None
 
 
 def _read(path: str) -> str:
@@ -245,9 +264,7 @@ def _cmd_verdict(args) -> list[str]:
 
 
 def _solver_config(args) -> solver.SolverConfig:
-    kwargs = {"seed": args.seed}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
+    kwargs = {"seed": args.seed, "restarts": args.restarts}
     if getattr(args, "tol", None) is not None:
         kwargs["accept_threshold"] = args.tol
     return solver.SolverConfig(**kwargs)
@@ -491,8 +508,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        lines = args.func(args)
-        _emit([f"schema: {SCHEMA}"] + lines, args.out)
+        with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
+            _emit([f"schema: {SCHEMA}"] + args.func(args), out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

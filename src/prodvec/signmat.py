@@ -613,38 +613,27 @@ def _sorted_rows(n: int) -> Iterator[np.ndarray]:
     them, 3,876 at n = 5 against 2^16 normalized matrices.  Negations
     alone give every class a member whose first row and column are +1,
     and permuting its rows 2..n keeps it so and in its class: some
-    candidate meets every class.  Indices are uint8, so n <= 9.  The
-    sequences are built one first index at a time, so a sweep that
-    stops early builds only the chunks it walks.
+    candidate meets every class.  Indices are uint8, so n <= 9.
     """
-    if n == 1:
-        yield np.ones((1, 1, 1), dtype=np.int8)
-        return
-    r, k = 1 << (n - 1), n - 2
-    # every non-decreasing k-index sequence, in lexicographic order
-    tails = np.zeros((1, 0), dtype=np.uint8)
+    r = 1 << (n - 1)
+    # every non-decreasing (n-1)-index sequence, in lexicographic order
+    seqs = np.zeros((1, 0), dtype=np.uint8)
     last = np.zeros(1, dtype=np.int64)
-    for _ in range(k):
+    for _ in range(n - 1):
         # extend each sequence, in order, by every index from its last one up
         counts = r - last
         ends = np.cumsum(counts)
         last = np.arange(ends[-1]) - np.repeat(ends - counts - last, counts)
-        tails = np.repeat(tails, counts, axis=0)
-        tails = np.concatenate([tails, last[:, None].astype(np.uint8)], axis=1)
+        seqs = np.repeat(seqs, counts, axis=0)
+        seqs = np.concatenate([seqs, last[:, None].astype(np.uint8)], axis=1)
     rows = _unpack(np.arange(r, 2 * r), n).astype(np.int8)
-    pending = np.zeros((0, n - 1), dtype=np.uint8)
-    size = min(64, _SWEEP_CHUNK)
-    for i in range(r):
-        # the tails whose entries are all >= i are the last C(r - i + k - 1, k)
-        tail = tails[len(tails) - math.comb(r - i + k - 1, k) :]
-        head = np.full((len(tail), 1), i, dtype=np.uint8)
-        pending = np.concatenate([pending, np.concatenate([head, tail], axis=1)])
-        while len(pending) >= size or (i == r - 1 and len(pending)):
-            part, pending = pending[:size], pending[size:]
-            mats = np.ones((len(part), n, n), dtype=np.int8)
-            mats[:, 1:] = rows[part]
-            yield mats
-            size = min(4 * size, _SWEEP_CHUNK)
+    start, size = 0, min(64, _SWEEP_CHUNK)
+    while start < len(seqs):
+        part = seqs[start : start + size]
+        mats = np.ones((len(part), n, n), dtype=np.int8)
+        mats[:, 1:] = rows[part]
+        yield mats
+        start, size = start + size, min(4 * size, _SWEEP_CHUNK)
 
 
 def _closure(a: np.ndarray) -> tuple[int, np.ndarray]:

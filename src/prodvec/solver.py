@@ -604,7 +604,7 @@ def solve(
     return SolveReport(
         solutions=solutions,
         distinct_count=len(solutions),
-        residual_floor=floor if restarts else math.inf,
+        residual_floor=floor,
         restarts_used=restarts,
         seed=seed,
         exit_reasons=dict(zip(EXIT_REASONS, reasons.tolist())),

@@ -165,8 +165,6 @@ def expand_product(sigma, powers: Sequence[int], dims: Sequence[int]) -> Truncat
     """
     rows, powers, dims = _checked(sigma, powers, dims)
     n, deg = len(dims), sum(powers)
-    if not deg:  # every power is 0: the empty product
-        return TruncatedPolynomial._trusted(dims, {(0,) * n: 1})
     if deg > sum(dims) - n:  # every monomial of degree deg is cut off
         return TruncatedPolynomial._trusted(dims, {})
     # The last party, a largest one, keeps the layer smallest.  Factoring

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import time
 import warnings
@@ -445,6 +446,23 @@ class TestCommands:
         assert out == ""
         assert "permanent: 2" in dst.read_text()
 
+    def test_out_may_name_the_input(self, capsys, tmp_path):
+        # the spec is read whole before the report replaces it; the padding
+        # makes the spec longer than the report, so no old byte may remain
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(EX25_DOC) + " " * 2000)
+        _, expected, _ = run(capsys, ["verdict", str(path)])
+        rc, out, err = run(capsys, ["verdict", str(path), "--out", str(path)])
+        assert (rc, out, err) == (0, "", "")
+        assert path.read_text() == expected
+
+    def test_out_may_name_a_device(self, capsys, tmp_path):
+        # a device cannot be truncated; it is written as it is
+        src = tmp_path / "m.mat"
+        src.write_text("++\n++\n")
+        rc, out, err = run(capsys, ["permanent", str(src), "--out", os.devnull])
+        assert (rc, out, err) == (0, "", "")
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys, tmp_path):
@@ -459,13 +477,46 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-    def test_unwritable_out_is_2(self, capsys, tmp_path, where):
+    def test_unwritable_out_is_2(self, capsys, tmp_path, monkeypatch, where):
+        # every command starts by reading its input; --out is refused first
+        def no_work(path):
+            raise AssertionError("ran the command before opening --out")
+
+        monkeypatch.setattr(cli, "_read", no_work)
         src = tmp_path / "m.mat"
         src.write_text("++\n++\n")
         dst = tmp_path / "no" / "report.txt" if where == "missing-dir" else tmp_path
         rc, out, err = run(capsys, ["permanent", str(src), "--out", str(dst)])
         reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
         assert (rc, out, err) == (2, "", f"error: cannot write {dst}: {reason}\n")
+
+    @pytest.mark.parametrize("text, code", [("+x\n", 2), ("+++\n+++\n", 1)], ids=["parse", "domain"])
+    def test_failed_command_keeps_the_out_file(self, capsys, tmp_path, text, code):
+        src = tmp_path / "m.mat"
+        src.write_text(text)
+        dst = tmp_path / "report.txt"
+        dst.write_bytes(b"an earlier report\n")
+        rc, out, _ = run(capsys, ["permanent", str(src), "--out", str(dst)])
+        assert (rc, out) == (code, "")
+        assert dst.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "BIG", "--restarts", "1"], "product dimension 8192 exceeds the supported 4096"),
+            (["survey", "--n", "4", "--samples", "0"], "--samples must be positive"),
+            (["classify", "--n", "7", "--mode", "normalized-search"],
+             "normalized search supports n <= 6"),
+        ],
+        ids=["solve-2^13-one-restart", "survey-no-samples", "classify-n7"],
+    )
+    def test_refusals_are_1(self, capsys, tmp_path, argv, message):
+        # one codim-1 constraint on 2^13 dimensions at one restart passes
+        # restart_count; drawing the instance refuses it
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dims": [2] * 13, "constraints": [{"subset": [], "codim": 1}]}))
+        rc, out, err = run(capsys, [str(path) if a == "BIG" else a for a in argv])
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     def test_deep_nesting_is_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -135,6 +135,11 @@ class TestPartialTranspose:
         rho = random_state((2, 3), 1)
         assert np.array_equal(partial_transpose(rho, ()).mat, rho.mat)
 
+    @pytest.mark.parametrize("subset", [{0}, {3}])
+    def test_subset_out_of_range_rejected(self, subset):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+            partial_transpose(random_state((2, 3), 1), subset)
+
     def test_full_subset_is_transpose(self):
         rho = random_state((2, 2, 2), 2)
         out = partial_transpose(rho, {1, 2, 3})

@@ -189,6 +189,10 @@ class TestTextFormat:
             m = random_sign_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             assert parse_matrix_text(format_matrix(m)).entries == m.entries
 
+    def test_str_is_the_text_format(self):
+        m = sign_matrix(["+-+", "--+"])
+        assert str(m) == format_matrix(m) == "+-+\n--+"
+
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_matrix_text("++\n+x\n")
@@ -235,6 +239,8 @@ class TestPermanent:
             permanent(sign_matrix(["++-", "+++"]))
         with pytest.raises(ValueError):
             permanent_naive(sign_matrix(["++-", "+++"]))
+        with pytest.raises(ValueError, match="square"):
+            signmat.batch_permanent(np.ones((2, 2, 3), dtype=np.int8))
 
     def test_ryser_equals_naive_random(self):
         rng = random.Random(11)
@@ -563,8 +569,8 @@ class TestClassifyVanishing:
             assert {c.entries for c in found} == classes
 
     def test_sorted_rows_chunks_across_first_indices(self, monkeypatch):
-        # chunks are cut across the blocks of one first index: with a chunk
-        # of 7 the n = 5 candidates still come whole and in order
+        # chunks are consecutive slices of the one candidate sequence: with
+        # a chunk of 7 the n = 5 candidates come whole and in order
         monkeypatch.setattr(signmat, "_SWEEP_CHUNK", 7)
         chunks = list(signmat._sorted_rows(5))
         assert [len(c) for c in chunks[:-1]] == [7] * (len(chunks) - 1)

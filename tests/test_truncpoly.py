@@ -320,6 +320,22 @@ class TestRingAlgebra:
         p = TruncatedPolynomial((2, 2), {(0, 0): 0, (1, 1): 2, (2, 0): 7})
         assert p.coeffs == {(1, 1): 2}
 
+    def test_equality_hash_and_repr(self):
+        p = TruncatedPolynomial((2, 3), {(1, 2): -3, (0, 1): 2})
+        q = TruncatedPolynomial((2, 3), {(0, 1): 2, (1, 2): -3, (1, 0): 0})
+        assert p == q and hash(p) == hash(q)
+        assert repr(p) == "TruncatedPolynomial(dims=(2, 3), {(0, 1): 2, (1, 2): -3})"
+        zero = TruncatedPolynomial((2, 3))
+        assert zero == TruncatedPolynomial((2, 3), {(2, 0): 5}) != p
+        assert zero != TruncatedPolynomial((3, 2))
+        assert repr(zero) == "TruncatedPolynomial(dims=(2, 3), 0)"
+        assert p.__eq__(p.coeffs) is NotImplemented
+        assert len({p, q, zero}) == 2
+        # an expansion built without the checks of __init__ compares the same
+        assert expand_product([[1, -1]], [1], (2, 3)) == TruncatedPolynomial(
+            (2, 3), {(1, 0): 1, (0, 1): -1}
+        )
+
 
 class TestIsZero:
     def test_zero(self):
