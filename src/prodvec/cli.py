@@ -45,7 +45,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/8"
+SCHEMA = "prodvec-report/9"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
 # draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 7 to 13 ns
 # at n >= 10 and 21 to 33 ns at n <= 2, each chunk tallied by np.unique;
@@ -221,14 +221,19 @@ def _verdict_lines(v: solvability.Verdict) -> list[str]:
     ]
 
 
-def _solve_lines(report: solver.SolveReport) -> list[str]:
-    lines = [
+def _count_lines(report: solver.SolveReport) -> list[str]:
+    return [
         f"seed: {report.seed}",
         f"restarts: {report.restarts_used}",
+        f"stopped: {report.stopped}",
         f"distinct_count: {report.distinct_count}",
         f"residual_floor: {float(report.residual_floor)!r}",
         f"solutions: {len(report.solutions)}",
     ]
+
+
+def _solve_lines(report: solver.SolveReport) -> list[str]:
+    lines = _count_lines(report)
     for idx, sol in enumerate(report.solutions):
         lines.append(f"solution {idx}: residual {float(sol.residual)!r}")
         lines.extend(_factor_lines(sol.vector))
@@ -353,16 +358,18 @@ def _cmd_edge(args) -> list[str]:
     if report.classification == mpstate.INCONSISTENT:
         lines.append(
             "warning: no compatible product vector found although the rank sum"
-            " reaches the bound; treat with suspicion (the bound is open in"
-            " some systems)"
+            " reaches the bound; treat with suspicion (the verdict is"
+            " inconclusive, so the bound is open here)"
         )
     lines.append("decision:")
     lines.extend("  " + s for s in _verdict_lines(report.decision))
     lines.append("numerical:")
-    lines.extend("  " + s for s in _solve_lines(report.solve_report))
+    lines.extend("  " + s for s in _count_lines(report.solve_report))
     if report.witness is not None:
         lines.append("witness:")
         lines.extend(_factor_lines(report.witness))
+    elif report.classification == mpstate.NOT_EDGE:
+        lines.append(f"witness: none; {report.decision.basis} certifies one")
     return lines
 
 
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="numerically search an instance for product vectors")
     p.add_argument("spec", help="problem-instance JSON file")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    p.add_argument("--restarts", type=int, default=None, help="number of restarts")
+    p.add_argument("--restarts", type=int, default=None, help="most restarts to run (a cap)")
     p.add_argument(
         "--tol", type=_positive_tol, default=None, help="acceptance threshold on the residual"
     )
@@ -489,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("edge", help="edge-state analysis of a density-matrix file")
     p.add_argument("state", help="density-matrix file")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None, help="most restarts to run (a cap)")
     p.add_argument("--tol", dest="rank_tol", type=_rank_tol, default=mpstate.DEFAULT_RANK_TOL,
                    help="relative rank tolerance, 0 < tol < 1 (default %(default)g)")
     add_out(p)

@@ -24,8 +24,9 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ParseError, UnsupportedSizeError
-from .solvability import Verdict, verdict
+from .solvability import EXISTS_NONZERO, INFINITELY_MANY, Verdict, verdict
 from .solver import (
+    WITNESS,
     ProductVector,
     SolveReport,
     SolverConfig,
@@ -270,11 +271,12 @@ class EdgeReport:
     """Outcome of the edge-state analysis.
 
     ``classification`` is one of: ``not-applicable`` (input not PPT),
-    ``not-edge`` (a product vector compatible with all ranges was found;
-    ``witness`` holds it), ``candidate-edge`` (no vector found and the
+    ``not-edge`` (a product vector compatible with all ranges was found,
+    and ``witness`` holds it, or the verdict certifies that one exists,
+    and ``witness`` is None), ``candidate-edge`` (no vector found and the
     rank-sum inequality holds: the verdict's N_E > N_U), or
-    ``inconsistent-with-rank-bound`` (no vector found although
-    N_E <= N_U; the bound's validity is open in some systems, so this is
+    ``inconsistent-with-rank-bound`` (no vector found, N_E <= N_U and the
+    verdict inconclusive; only there is the bound open, so this is
     flagged rather than treated as an error).
     """
 
@@ -310,7 +312,8 @@ def edge_analysis(
     Builds one membership constraint per canonical subset S (the
     conjugated product vector must lie in the range of the transposed
     state), runs the exact decision engine on the codimension profile
-    and the numerical solver on the explicit ranges, and reads the
+    and the numerical solver on the explicit ranges, stopping at the
+    first round of restarts that holds a witness, and reads the
     rank-sum inequality sum rank < ``profile.bound`` off the verdict as
     N_E > N_U.  The two agree: sum rank = 2^(n-1) D - N_E and the bound
     is 2^(n-1) D - N_U, and ``reduce`` keeps these constraints as they
@@ -333,13 +336,12 @@ def edge_analysis(
     constraints = [SubspaceConstraint(r.subset, r.complement) for r in profile.records]
     spec = spec_of_constraints(rho.dims, constraints)
     decision = verdict(spec)
-    report = solve(constraints, rho.dims, config)
+    report = solve(constraints, rho.dims, config, target=WITNESS)
     inequality = decision.n_equations > decision.n_unknowns
-    if report.solutions:
-        witness = report.solutions[0].vector
+    witness = report.solutions[0].vector if report.solutions else None
+    if witness is not None or decision.kind in (EXISTS_NONZERO, INFINITELY_MANY):
         cls = NOT_EDGE
     else:
-        witness = None
         cls = CANDIDATE_EDGE if inequality else INCONSISTENT
     return EdgeReport(cls, True, min_eigs, profile, decision, report, inequality, witness)
 

@@ -13,6 +13,13 @@ start depends only on (seed, i); random_instance draws from (seed, 0).
 Every row's arithmetic is its own, so a restart ends at the same point
 alone or in any batch: results do not depend on batching.
 
+The restart count is a cap.  A solve whose question has a known answer
+runs its restarts in rounds of FIRST_ROUND, then twice as many each
+round, and stops between rounds once that question is answered: at
+``generic_count`` distinct solutions, or at one accepted restart when
+the caller asks for a witness.  ``SolveReport.stopped`` names the rule
+that stopped it, or ``budget`` when every restart ran.
+
 A small residual certifies a solution (membership can be checked
 directly); a large residual floor across many restarts is *evidence* of
 nonexistence, never proof - the conjugations make the system real
@@ -64,8 +71,17 @@ MAX_ITERATIONS = 120
 REJECT_THRESHOLD = 1e-8
 DEDUPE_TOLERANCE = 1e-6
 
-# The fewest restarts a solve runs by default once a constraint is not vacuous.
+# The fewest restarts a solve may run by default once a constraint is not vacuous.
 DEFAULT_RESTARTS = 500
+# Restarts in the first round of a solve with a stop rule; each later round
+# runs twice as many as the one before, the last one cut to the cap.  A round
+# costs about as long as its slowest restart, so small rounds pay that tail
+# again and again.
+FIRST_ROUND = 16
+
+# Why a solve stopped: the generic count reached, an accepted restart found
+# (a witness), or every restart run.
+GENERIC_COUNT, WITNESS, BUDGET = "generic-count", "witness", "budget"
 
 # Why a restart stopped; SolveReport.exit_reasons counts them.
 EXIT_REASONS = ("converged", "flat-gradient", "no-step", "stagnated", "max-iterations")
@@ -225,7 +241,8 @@ def residual(psi: ProductVector, constraints: Sequence[SubspaceConstraint]) -> f
 
 @dataclass(frozen=True)
 class SolverConfig:
-    restarts: int | None = None  # None: max(500, 50 * generic count) when defined
+    # a cap on the restarts; None: max(500, 50 * generic count) when defined
+    restarts: int | None = None
     accept_threshold: float = 1e-14
     seed: int = 0
 
@@ -241,8 +258,9 @@ class SolveReport:
     solutions: tuple[Solution, ...]
     distinct_count: int
     residual_floor: float
-    restarts_used: int
+    restarts_used: int  # the restarts run, at most the cap
     seed: int
+    stopped: str  # GENERIC_COUNT, WITNESS or BUDGET
     # restarts per reason in EXIT_REASONS; not printed in the CLI report
     exit_reasons: dict[str, int] = field(default_factory=dict)
 
@@ -510,7 +528,7 @@ def _dedupe(factors: Sequence[np.ndarray], costs: np.ndarray, tol: float) -> lis
 
 
 def restart_count(spec: ProblemSpec, config: SolverConfig) -> int:
-    """Restarts ``solve`` runs on an instance of ``spec``.
+    """Restarts ``solve`` runs at most on an instance of ``spec``.
 
     ``config.restarts``, by default max(DEFAULT_RESTARTS, 50 * generic
     count) when that count is defined and DEFAULT_RESTARTS otherwise; at
@@ -552,10 +570,23 @@ def _check_entries(restarts: int, per_start: int) -> None:
         )
 
 
+def _rounds(restarts: int, staged: bool) -> list[tuple[int, int]]:
+    """The [lo, hi) restart ranges of a solve's rounds: the whole cap as one,
+    or FIRST_ROUND restarts and then twice each round before, up to the cap."""
+    if not staged:
+        return [(0, restarts)]
+    out, lo, size = [], 0, FIRST_ROUND
+    while lo < restarts:
+        out.append((lo, min(lo + size, restarts)))
+        lo, size = lo + size, 2 * size
+    return out
+
+
 def solve(
     constraints: Sequence[SubspaceConstraint],
     dims: Sequence[int],
     config: SolverConfig | None = None,
+    target: str = GENERIC_COUNT,
 ) -> SolveReport:
     """Multi-start minimization of the membership residual.
 
@@ -568,10 +599,24 @@ def solve(
     however many restarts follow it.  When all constraints are vacuous
     the residual is identically zero and only a handful of restarts are
     run, each returning its start point.
+
+    ``config.restarts`` caps the restarts, and ``target`` names the
+    question that may stop them sooner.  With GENERIC_COUNT, a spec
+    whose ``generic_count`` is defined stops once its distinct count
+    reaches that number; any other spec has no stop rule and runs its
+    cap as one round.  With WITNESS the solve stops once a restart is
+    accepted.  The rule is checked between rounds (see ``_rounds``),
+    never after the last, so the stop point does not depend on the
+    batch bound; each round is split into batches under
+    MAX_BATCH_ENTRIES.
     """
+    if target not in (GENERIC_COUNT, WITNESS):
+        raise ValueError(f"target must be {GENERIC_COUNT!r} or {WITNESS!r}, got {target!r}")
     config = config or SolverConfig()
     dims = tuple(int(d) for d in dims)
-    restarts = restart_count(spec_of_constraints(dims, constraints), config)
+    spec = spec_of_constraints(dims, constraints)
+    restarts = restart_count(spec, config)
+    goal = generic_count(spec) if target == GENERIC_COUNT else 1
     problem = _Problem(dims, constraints)
     seed = stream_seed(config.seed)
 
@@ -581,15 +626,24 @@ def solve(
     reasons = np.zeros(len(EXIT_REASONS), dtype=np.int64)
     rng = philox_stream(seed, 1)
     batch = max(1, MAX_BATCH_ENTRIES // problem.entries_per_start)
-    for lo in range(0, restarts, batch):
-        rows = min(batch, restarts - lo)
-        starts = problem.complex_factors(rng.standard_normal((rows, problem.n_params)))
-        factors, costs, why = _minimize_batch(problem, starts)
-        floor = min(floor, float(costs.min()))
-        reasons += np.bincount(why, minlength=len(EXIT_REASONS))
-        ok = costs < config.accept_threshold
-        found = [np.concatenate([a, f[ok]]) for a, f in zip(found, factors)]
-        found_costs = np.concatenate([found_costs, costs[ok]])
+    ran, stopped = 0, BUDGET
+    for lo, hi in _rounds(restarts, goal is not None):
+        # a witness needs no dedupe: any accepted restart is one
+        if lo and len(found_costs) and (
+            goal == 1 or len(_dedupe(found, found_costs, DEDUPE_TOLERANCE)) >= goal
+        ):
+            stopped = target
+            break
+        for b_lo in range(lo, hi, batch):
+            rows = min(batch, hi - b_lo)
+            starts = problem.complex_factors(rng.standard_normal((rows, problem.n_params)))
+            factors, costs, why = _minimize_batch(problem, starts)
+            floor = min(floor, float(costs.min()))
+            reasons += np.bincount(why, minlength=len(EXIT_REASONS))
+            ok = costs < config.accept_threshold
+            found = [np.concatenate([a, f[ok]]) for a, f in zip(found, factors)]
+            found_costs = np.concatenate([found_costs, costs[ok]])
+        ran = hi
 
     # restarts are appended in restart order whatever the batching; this
     # sort fixes the printed order and which member represents a class
@@ -605,7 +659,8 @@ def solve(
         solutions=solutions,
         distinct_count=len(solutions),
         residual_floor=floor,
-        restarts_used=restarts,
+        restarts_used=ran,
         seed=seed,
+        stopped=stopped,
         exit_reasons=dict(zip(EXIT_REASONS, reasons.tolist())),
     )

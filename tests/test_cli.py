@@ -17,7 +17,7 @@ from prodvec.errors import ParseError
 from prodvec.mpstate import build_separable, maximally_mixed, write_state
 from prodvec.solvability import problem_spec
 from prodvec.solver import product_vector, random_instance
-from test_mpstate import tiles_upb
+from test_mpstate import rank_three_state, tiles_upb
 
 EX25_DOC = {
     "dims": [2, 2, 4],
@@ -283,17 +283,17 @@ class TestCommands:
     @pytest.mark.parametrize(
         "n, samples, seed, digest",
         [
-            (6, 2000, 1, "da8e476de6b99fa55654da39ef81b0baa4e9019b635b7ed21c8b867eff40253f"),
-            (8, 1000, 2, "fdf4ae363d9a0561e641586d86ef3e8e6185a7221a9fda49d9a99f97d37ed0ae"),
-            (10, 500, 3, "e43006e696e994e2b8ccf17f3a139064455d0264f490188ff9c3e39dd8dc92c4"),
-            (13, 300, 4, "fb85f9d2ffaecf501df63328070f66145d91bbb5b4a225b64b2c16f40ed9ebbc"),
+            (6, 2000, 1, "f479552bba59967c2c593ff88ecd64be9ba5999c6c67df54fc08b466f1a79783"),
+            (8, 1000, 2, "a48614c6a705a3994ebb8d6a758c0200623a5ba6c9ca9f81371561d7f2543723"),
+            (10, 500, 3, "bb776effd744d75d3883ce8cd5913d3164c23fa901b3ca1555e3d3020d6d6ac6"),
+            (13, 300, 4, "119ca3defa723e376a6ce69eec1b6e4a308b3a0a5c3230d372d233abbdd7aad6"),
         ],
         ids=["n6", "n8", "n10", "n13"],
     )
     def test_survey_reports_are_pinned(self, capsys, n, samples, seed, digest):
         # the benchmark's survey shapes and n = 13, against the bytes of the
-        # reports before the stacked Glynn walk under schema /8 (only the
-        # schema line differs from /6 and /7): no kernel change may move a
+        # reports before the stacked Glynn walk under schema /9 (only the
+        # schema line differs from /6 to /8): no kernel change may move a
         # histogram
         argv = ["survey", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
         rc, out, _ = run(capsys, argv)
@@ -302,9 +302,9 @@ class TestCommands:
 
     def test_solver_reports_are_pinned(self, capsys, tmp_path):
         # the bytes of one seeded solve and one seeded edge report under the
-        # one-party-at-a-time contractions (schema /8); a change to the
-        # solver's arithmetic moves their last digits and has to bump
-        # cli.SCHEMA.
+        # one-party-at-a-time contractions and the stop rules (schema /9); a
+        # change to the solver's arithmetic moves their last digits and has
+        # to bump cli.SCHEMA.
         # Printed floats come from numpy's BLAS and LAPACK kernels, so
         # another numpy build may print other last digits.
         crit = tmp_path / "crit.json"
@@ -319,11 +319,11 @@ class TestCommands:
         for argv, digest in (
             (
                 ["solve", str(crit), "--seed", "9", "--restarts", "60"],
-                "a55afb361d2cd968ce491a3610d2cc9c3d48526cc9cba6df3ec3505122cf8ea1",
+                "dda0db6833406c5d50f60c862dbc757e5864fe9d4a827895208b1befcff97b4b",
             ),
             (
                 ["edge", str(state), "--seed", "5", "--restarts", "40"],
-                "14774f392d2d015532bd2360de679a73535bb33c11d196f3baabfc9466fc4cfb",
+                "7246adbc5d660fd26fa5a7c6b49af8e902873a2115c00eaba576ec86cfad359c",
             ),
         ):
             rc, out, _ = run(capsys, argv)
@@ -359,32 +359,30 @@ class TestCommands:
             ["rank", "4"], ["rank", "4"]
         ]
         assert "rank_inequality_satisfied: true" in lines
-        for line in ("  equations: 10", "  unknowns: 4", "  restarts: 500", "  solutions: 0"):
+        for line in ("  equations: 10", "  unknowns: 4", "  restarts: 500", "  stopped: budget",
+                     "  solutions: 0"):
             assert line in lines
         assert not any(line.startswith("warning:") for line in lines)
         assert "witness:" not in lines
 
-    def test_edge_without_restarts_is_inconsistent(self, capsys, tmp_path):
-        # no restart finds a witness although N_E = 0 <= N_U = 2, and the
-        # report flags it
+    def test_edge_without_restarts_is_not_edge_by_the_verdict(self, capsys, tmp_path):
+        # no restart runs, so no witness, but N_E = 0 < N_U = 2 and the
+        # nonvanishing product certify that one exists
         path = tmp_path / "mixed.state"
         path.write_text(write_state(maximally_mixed((2, 2))))
         rc, out, err = run(capsys, ["edge", str(path), "--restarts", "0"])
         assert (rc, err) == (0, "")
         assert out == (
-            "schema: prodvec-report/8\n"
+            "schema: prodvec-report/9\n"
             "command: edge\n"
             "seed: 0\n"
             "ppt: true\n"
-            "classification: inconsistent-with-rank-bound\n"
+            "classification: not-edge\n"
             "subset {}: rank 4 min_eig 2.500e-01 cut_gap 0.000e+00/2.500e-01\n"
             "subset {2}: rank 4 min_eig 2.500e-01 cut_gap 0.000e+00/2.500e-01\n"
             "sum_of_ranks: 8\n"
             "bound: 6\n"
             "rank_inequality_satisfied: false\n"
-            "warning: no compatible product vector found although the rank sum"
-            " reaches the bound; treat with suspicion (the bound is open in"
-            " some systems)\n"
             "decision:\n"
             "  kind: infinitely-many\n"
             "  basis: underdetermined-nonvanishing\n"
@@ -397,10 +395,75 @@ class TestCommands:
             "numerical:\n"
             "  seed: 0\n"
             "  restarts: 0\n"
+            "  stopped: budget\n"
             "  distinct_count: 0\n"
             "  residual_floor: inf\n"
             "  solutions: 0\n"
+            "witness: none; underdetermined-nonvanishing certifies one\n"
         )
+
+    def test_edge_without_restarts_on_an_inconclusive_verdict_is_inconsistent(
+        self, capsys, tmp_path
+    ):
+        # an inconclusive verdict and no restart run leave no witness, and
+        # the report flags it
+        path = tmp_path / "rank3.state"
+        path.write_text(write_state(rank_three_state()))
+        rc, out, err = run(capsys, ["edge", str(path), "--restarts", "0"])
+        assert (rc, err) == (0, "")
+        lines = out.splitlines()
+        assert "classification: inconsistent-with-rank-bound" in lines
+        assert "warning: no compatible product vector found although the rank sum" \
+            " reaches the bound; treat with suspicion (the verdict is" \
+            " inconclusive, so the bound is open here)" in lines
+        for line in ("  kind: inconclusive", "  equations: 2", "  unknowns: 2",
+                     "  top_coefficient: 0", "  restarts: 0", "  solutions: 0"):
+            assert line in lines
+        assert not any(line.startswith("witness") for line in lines)
+        # at the default cap the first round holds a witness
+        rc, out, _ = run(capsys, ["edge", str(path)])
+        lines = out.splitlines()
+        assert "classification: not-edge" in lines
+        assert "  restarts: 16" in lines and "  stopped: witness" in lines
+        assert "witness:" in lines
+
+    @pytest.mark.parametrize("command", ["solve", "edge"])
+    def test_stop_does_not_depend_on_the_batch_bound(self, capsys, tmp_path, monkeypatch, command):
+        # the stop rule is checked between rounds only, so batches of seven
+        # restarts stop where one batch per round does, byte for byte; the
+        # (3, 3) count of 6 is reached in the second round at seed 2
+        if command == "solve":
+            path = tmp_path / "count.json"
+            path.write_text(json.dumps({"dims": [3, 3], "constraints": [{"subset": [], "codim": 4}]}))
+            expected = ("restarts: 48", "stopped: generic-count")
+        else:
+            rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+            vectors = [
+                product_vector([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
+                for _ in range(4)
+            ]
+            path = tmp_path / "sep.state"
+            path.write_text(write_state(build_separable(vectors, [0.25] * 4)))
+            expected = ("  restarts: 16", "  stopped: witness")
+        argv = [command, str(path), "--seed", "2"]
+        rc, whole, _ = run(capsys, argv)
+        assert rc == 0
+        lines = whole.splitlines()
+        assert expected == tuple(lines[lines.index(expected[0]) :][:2])
+
+        # both instances have 12 real parameters and a widest codim of 4
+        rows, minimize = [], solver._minimize_batch
+
+        def counting(problem, factors):
+            rows.append(len(factors[0]))
+            return minimize(problem, factors)
+
+        monkeypatch.setattr(solver, "_minimize_batch", counting)
+        monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 7 * solver._entries_per_start(12, 4))
+        rc, chunked, _ = run(capsys, argv)
+        assert rc == 0
+        assert max(rows) == 7 and sum(rows) == int(expected[0].split()[-1])
+        assert chunked == whole
 
     @pytest.mark.parametrize("a, b", [(-1, 0), (2**63, 2**63 + 1)])
     def test_wide_seeds_draw_their_own_streams(self, capsys, tmp_path, a, b):

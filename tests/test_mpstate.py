@@ -32,6 +32,7 @@ from prodvec.mpstate import (
 from prodvec.solvability import reduce, verdict
 from prodvec.solver import (
     MAX_RESTART_ENTRIES,
+    WITNESS,
     SolverConfig,
     SubspaceConstraint,
     product_vector,
@@ -58,6 +59,14 @@ def state_at_cut(seed):
     lam[-1] = lam.max() * 1e-9 * (1 + rng.uniform(-2e-7, 2e-7))
     u = np.kron(us[0], us[1])
     return density_matrix((2, 2), u @ np.diag(lam) @ u.conj().T)
+
+
+def rank_three_state():
+    """(I - |psi><psi|) / 3 on (2, 2), psi a product vector: both ranges have
+    codim 1, N_E = N_U = 2, and the top coefficient of (a1 + a2)(a1 - a2)
+    vanishes, so its verdict is inconclusive."""
+    psi = product_vector([np.array([1, 1j]), np.array([2, 1 - 1j])]).full_vector()
+    return density_matrix((2, 2), (np.eye(4) - np.outer(psi, psi.conj())) / 3)
 
 
 def random_vectors(seed, dims, count):
@@ -364,6 +373,31 @@ class TestEdgeAnalysis:
         assert report.profile.sum_of_ranks == 16
         assert report.profile.bound == 29
         assert report.inequality_satisfied
+
+    @pytest.mark.parametrize(
+        "dims, count", [((2, 2), 3), ((2, 3), 4), ((2, 2, 2), 4), ((2, 2, 3), 5)]
+    )
+    def test_separable_states_stop_at_a_witness(self, dims, count):
+        # at the default cap of 500 restarts, the first round of 16 holds one
+        state = build_separable(random_vectors(count, dims, count), [1 / count] * count)
+        report = edge_analysis(state, SolverConfig(seed=1))
+        assert report.classification == NOT_EDGE
+        assert report.witness is not None
+        assert (report.solve_report.restarts_used, report.solve_report.stopped) == (16, WITNESS)
+
+    def test_no_witness_classified_from_the_verdict(self):
+        # without restarts, a verdict that certifies existence gives not-edge
+        # with no witness, and only an inconclusive one leaves the bound open
+        none = SolverConfig(restarts=0)
+        report = edge_analysis(maximally_mixed((2, 2)), none)
+        assert (report.decision.basis, report.classification) == (
+            "underdetermined-nonvanishing", NOT_EDGE
+        )
+        assert report.witness is None
+        rank3 = rank_three_state()
+        report = edge_analysis(rank3, none)
+        assert (report.decision.kind, report.classification) == ("inconclusive", INCONSISTENT)
+        assert edge_analysis(rank3, SolverConfig(seed=1)).classification == NOT_EDGE
 
     def test_non_ppt_not_applicable(self):
         report = edge_analysis(bell_state())

@@ -8,7 +8,10 @@ import pytest
 from prodvec import solver
 from prodvec.solvability import problem_spec
 from prodvec.solver import (
+    BUDGET,
     EXIT_REASONS,
+    GENERIC_COUNT,
+    WITNESS,
     SolverConfig,
     SubspaceConstraint,
     count_distinct,
@@ -21,6 +24,9 @@ from prodvec.solver import (
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+# critical, with a proper subset: generic_count is undefined, so a solve on
+# it has no stop rule and runs every restart it is given
+MIXED = ((2, 2, 2), [({2}, 1), ((), 1), ({3}, 1)])
 
 
 def subspace_constraint(subset, basis):
@@ -66,6 +72,7 @@ def assert_same_report(a, b):
     assert a.residual_floor == b.residual_floor
     assert a.restarts_used == b.restarts_used
     assert a.seed == b.seed
+    assert a.stopped == b.stopped
     assert a.exit_reasons == b.exit_reasons
     assert len(a.solutions) == len(b.solutions)
     for sa, sb in zip(a.solutions, b.solutions):
@@ -321,6 +328,7 @@ class TestSolve:
         assert not report.solutions
         # the residual is identically 1/2 on the whole search space
         assert abs(report.residual_floor - 0.5) < 1e-9
+        assert (report.restarts_used, report.stopped) == (300, BUDGET)
 
     def test_generic_two_qubit_pair_count(self):
         spec = problem_spec((2, 2), [((), 2)])
@@ -378,8 +386,8 @@ class TestSolve:
         # the floor is 1/2 everywhere, so no restart reaches cost 1e-30
         assert report.exit_reasons["converged"] == 0
 
-        spec = problem_spec((2, 2), [((), 2)])
-        report = solve(random_instance(spec, 12), (2, 2), SolverConfig(restarts=40, seed=12))
+        spec = problem_spec((2, 3), [({2}, 1), ((), 2)])
+        report = solve(random_instance(spec, 12), (2, 3), SolverConfig(restarts=40, seed=12))
         assert sum(report.exit_reasons.values()) == 40
         assert report.exit_reasons["converged"] > 0
 
@@ -388,7 +396,7 @@ class TestSolve:
     @pytest.mark.parametrize(
         "dims,cons,seed,restarts,expected",
         [
-            ((2, 2), [((), 2)], 12, 40, (39, 1, 0, 0, 0)),
+            ((2, 3), [({2}, 1), ((), 2)], 12, 40, (33, 7, 0, 0, 0)),
             (None, None, 5, 300, (0, 0, 58, 242, 0)),
             ((4, 4), [((), 10)], 1, 60, (0, 0, 0, 44, 16)),
         ],
@@ -421,6 +429,46 @@ class TestSolve:
         for sol in report.solutions:
             assert sol.residual < SolverConfig().accept_threshold
             assert report.residual_floor <= sol.residual
+
+
+class TestStop:
+    def test_rounds(self):
+        assert solver._rounds(120, True) == [(0, 16), (16, 48), (48, 112), (112, 120)]
+        assert solver._rounds(10, True) == [(0, 10)]
+        assert solver._rounds(0, True) == []
+        assert solver._rounds(120, False) == [(0, 120)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generic_count_stops_the_default_cap(self, seed):
+        spec = problem_spec((3, 3), [((), 4)])
+        report = solve(random_instance(spec, seed), (3, 3), SolverConfig(seed=seed))
+        assert report.stopped == GENERIC_COUNT
+        assert report.restarts_used in (16, 48, 112, 240)
+        assert report.distinct_count == 6
+        assert sum(report.exit_reasons.values()) == report.restarts_used
+
+    def test_rule_not_checked_after_the_last_round(self):
+        # the one round of 16 finds both solutions, yet no check follows it
+        spec = problem_spec((2, 2), [((), 2)])
+        report = solve(random_instance(spec, 12), (2, 2), SolverConfig(restarts=16, seed=12))
+        assert report.distinct_count == 2
+        assert (report.restarts_used, report.stopped) == (16, BUDGET)
+
+    def test_witness_stops_at_the_first_round_with_an_accepted_restart(self):
+        dims, cons = MIXED
+        constraints = random_instance(problem_spec(dims, cons), 101)
+        cfg = SolverConfig(restarts=150, seed=101)
+        whole = solve(constraints, dims, cfg)
+        assert (whole.restarts_used, whole.stopped) == (150, BUDGET)
+        report = solve(constraints, dims, cfg, target=WITNESS)
+        assert (report.restarts_used, report.stopped) == (16, WITNESS)
+        assert report.solutions
+        assert sum(report.exit_reasons.values()) == 16
+
+    def test_unknown_target_refused(self):
+        dims, cons = MIXED
+        with pytest.raises(ValueError, match="target"):
+            solve(random_instance(problem_spec(dims, cons), 1), dims, target=BUDGET)
 
 
 def real_block_normal_equations(dims, constraints, factors):
@@ -648,8 +696,8 @@ class TestBatching:
         assert np.array_equal(np.concatenate([f[target] for f in factors]), x0[0])
 
     def test_chunked_report_equals_unchunked(self, monkeypatch):
-        dims = (2, 2, 2)
-        constraints = random_instance(problem_spec(dims, [((), 1)] * 3), 101)
+        dims, cons = MIXED
+        constraints = random_instance(problem_spec(dims, cons), 101)
         cfg = SolverConfig(restarts=150, seed=101)
         per_start = solver._Problem(dims, constraints).entries_per_start
         assert 150 * per_start <= solver.MAX_BATCH_ENTRIES
@@ -702,7 +750,7 @@ class TestBatching:
 
 
 class TestOneStream:
-    SHAPE = ((3, 3), [((), 4)])
+    SHAPE = MIXED
 
     def captured_starts(self, monkeypatch, restarts, batch_rows=None):
         dims, cons = self.SHAPE
