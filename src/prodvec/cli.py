@@ -141,6 +141,8 @@ def parse_spec_text(
             codim = basis.shape[0]
         if type(codim) is not int or codim < 0:
             raise ParseError(f"{where}.codim must be a non-negative integer")
+        if codim > d_total:
+            raise ParseError(f"{where}.codim {codim} outside 0..{d_total}")
         if basis is not None and basis.shape[0] != codim:
             raise ParseError(
                 f"{where}: codim {codim} does not match basis rows {basis.shape[0]}"

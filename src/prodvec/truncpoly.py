@@ -39,6 +39,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,17 +58,19 @@ Exponents = tuple[int, ...]
 MAX_RING_CELLS = 1 << 20
 
 
+@dataclass(frozen=True)
 class TruncatedPolynomial:
     """Immutable element of Z[a_1..a_n]/(a_j^{d_j}) in canonical sparse form."""
 
-    __slots__ = ("dims", "coeffs")
+    dims: Sequence[int]
+    coeffs: dict[Exponents, int] | None = None
 
-    def __init__(self, dims: Sequence[int], coeffs: dict[Exponents, int] | None = None):
-        dims = tuple(int(d) for d in dims)
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("dims must be a non-empty sequence of positive integers")
         clean: dict[Exponents, int] = {}
-        for m, c in (coeffs or {}).items():
+        for m, c in (self.coeffs or {}).items():
             m = tuple(int(e) for e in m)
             if len(m) != len(dims):
                 raise ValueError(f"exponent vector {m} has wrong length for {len(dims)} variables")
@@ -88,9 +91,6 @@ class TruncatedPolynomial:
         object.__setattr__(self, "coeffs", coeffs)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedPolynomial is immutable")
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -106,11 +106,6 @@ class TruncatedPolynomial:
     def top_coefficient(self) -> int:
         """Coefficient of prod_j a_j^{d_j - 1}, the maximal monomial of the ring."""
         return self.coeffs.get(tuple(d - 1 for d in self.dims), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return self.dims == other.dims and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.dims, frozenset(self.coeffs.items())))

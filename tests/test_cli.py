@@ -114,13 +114,16 @@ class TestSpecFiles:
             ([{"complement_basis": [["1+0j"] + UNIT_ROW[1:]]}],
              "constraints[0].complement_basis[0]: invalid complex literal '1+0j' (expected a+bi)"),
             ([{"subset": [], "codim": -1}], "constraints[0].codim must be a non-negative integer"),
+            ([{"subset": [], "codim": 5}], "constraints[0].codim 5 outside 0..4"),
+            ([{"complement_basis": [UNIT_ROW] * 5}], "constraints[0].codim 5 outside 0..4"),
             ([{"complement_basis": [UNIT_ROW], "codim": 2}],
              "constraints[0]: codim 2 does not match basis rows 1"),
             ([{"complement_basis": [UNIT_ROW]}, {"subset": [2], "codim": 1}],
              "either all constraints or none must carry complement_basis"),
         ],
         ids=["non-string-literal", "top-level", "constraint", "subset", "basis-type",
-             "row-length", "bad-literal", "codim-type", "codim-rows", "mixed-bases"],
+             "row-length", "bad-literal", "codim-type", "codim-bound", "basis-rows-bound",
+             "codim-rows", "mixed-bases"],
     )
     def test_refusals_exit_2(self, capsys, tmp_path, constraints, message):
         # a top level that is a list, not an object, when constraints is None
@@ -1040,7 +1043,8 @@ class TestExitCodes:
 class TestSeededFuzz:
     """Seeded random spec, state and sign-matrix files, valid and broken,
     through ``cli.main`` in process: every call exits 0, 1 or 2, with no
-    uncaught exception and no RuntimeWarning."""
+    uncaught exception and no RuntimeWarning; a refusal writes one
+    ``error:`` line to stderr, and a success prints the same bytes again."""
 
     @staticmethod
     def corrupt(rng, text):
@@ -1139,14 +1143,22 @@ class TestSeededFuzz:
                 b_text = signmat.format_matrix(b) + "\n"
                 pairs.append(len(calls))
             calls.append(["equivalent", path(signmat.format_matrix(a) + "\n"), path(b_text)])
-        exits = {}
+        exits, passed = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for k, argv in enumerate(calls):
-                rc, out, _ = run(capsys, argv)
+                rc, out, err = run(capsys, argv)
                 assert rc in (0, 1, 2), argv
                 exits.setdefault(argv[0], set()).add(rc)
+                if rc:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                    assert err.endswith("\n") and "Traceback" not in err, (argv, err)
+                else:
+                    passed.setdefault(argv[0], (argv, out))
                 if k in pairs and rc == 0:
                     assert out.endswith("equivalent: true\n")
+            # the first success of each command, run again, prints the same bytes
+            for argv, out in passed.values():
+                assert run(capsys, argv) == (0, out, ""), argv
         assert all(0 in codes for codes in exits.values()), exits
         assert {rc for codes in exits.values() for rc in codes} == {0, 1, 2}

@@ -20,6 +20,7 @@ from prodvec.solvability import (
     reduce,
     verdict,
 )
+from prodvec.solver import SolverConfig, random_instance, residual, solve
 from prodvec.truncpoly import expand_product
 
 EX25 = problem_spec((2, 2, 4), [({1}, 1), ({2}, 1), ({3}, 1), ((), 1)])
@@ -222,6 +223,35 @@ class TestVerdict:
                     assert verdict(spec).basis == "underdetermined-nonvanishing", spec
                     specs += 1
         assert specs == 838
+
+    def test_inconclusive_gap_is_pinned_and_solvable(self):
+        # Every set of four pairwise non-parallel codim-1 constraints on
+        # (2,2,2,3) and on (2,)^5: the verdict is inconclusive for 6 of 70
+        # and 40 of 1,820, each of rank 3 with one unknown to spare and a
+        # vanishing product.  A vanishing product is not evidence of
+        # nonexistence: a seeded solve finds solutions on one of them.
+        gap = {}
+        for dims, total in (((2, 2, 2, 3), 70), ((2,) * 5, 1820)):
+            n = len(dims)
+            # the subsets without party 1 stand for the classes modulo complement
+            classes = [s for r in range(n) for s in itertools.combinations(range(2, n + 1), r)]
+            sets = list(itertools.combinations(classes, 4))
+            assert len(sets) == total
+            for four in sets:
+                v = verdict(problem_spec(dims, [(s, 1) for s in four]))
+                if v.kind == INCONCLUSIVE:
+                    gap.setdefault(dims, []).append(four)
+                    assert (v.n_equations, v.n_unknowns, v.sigma_rank) == (4, 5, 3), four
+                    assert v.product_vanishes and v.top_coefficient == 0, four
+        assert {d: len(found) for d, found in gap.items()} == {(2, 2, 2, 3): 6, (2,) * 5: 40}
+        assert ((), (2,), (3,), (2, 3)) in gap[(2, 2, 2, 3)]
+        spec = problem_spec((2, 2, 2, 3), [((), 1), ({2}, 1), ({3}, 1), ({2, 3}, 1)])
+        constraints = random_instance(spec, 1)
+        config = SolverConfig(restarts=20, seed=1)
+        report = solve(constraints, spec.dims, config)
+        assert report.distinct_count > 0
+        for s in report.solutions:
+            assert residual(s.vector, constraints) < config.accept_threshold
 
     def test_qubit_square_permanent_dichotomy(self):
         # a square qubit system is critical: a nonvanishing permanent

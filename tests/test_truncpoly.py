@@ -336,6 +336,24 @@ class TestRingAlgebra:
             (2, 3), {(1, 0): 1, (0, 1): -1}
         )
 
+    def test_immutable_and_trusted_matches_checked(self):
+        p = TruncatedPolynomial((2, 3), {(1, 2): -3})
+        for name, value in (("dims", (3, 3)), ("coeffs", {})):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert p.dims == (2, 3) and p.coeffs == {(1, 2): -3}
+        # expansions come from the unchecked constructor; each must equal,
+        # and hash as, the checked element built from its own terms
+        rng = random.Random(7)
+        for _ in range(20):
+            r, n = rng.randint(1, 3), rng.randint(1, 4)
+            rows = random_rows(rng, r, n)
+            powers = [rng.randint(0, 3) for _ in range(r)]
+            dims = tuple(rng.randint(1, 4) for _ in range(n))
+            e = expand_product(rows, powers, dims)
+            c = TruncatedPolynomial(list(dims), dict(e.coeffs))
+            assert e == c and hash(e) == hash(c)
+
 
 class TestIsZero:
     def test_zero(self):
