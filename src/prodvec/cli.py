@@ -45,7 +45,7 @@ import numpy as np
 from . import BACKEND, __version__, mpstate, signmat, solvability, solver
 from .errors import ParseError, UnsupportedSizeError
 
-SCHEMA = "prodvec-report/9"
+SCHEMA = "prodvec-report/10"
 # Largest samples * 2^(n-1) Glynn steps one survey runs, checked before any
 # draw.  On a 2-CPU Xeon host (one BLAS thread) a step costs 7 to 13 ns
 # at n >= 10 and 21 to 33 ns at n <= 2, each chunk tallied by np.unique;

@@ -313,10 +313,11 @@ def edge_analysis(
     conjugated product vector must lie in the range of the transposed
     state), runs the exact decision engine on the codimension profile
     and the numerical solver on the explicit ranges, stopping at the
-    first round of restarts that holds a witness, and reads the
-    rank-sum inequality sum rank < ``profile.bound`` off the verdict as
-    N_E > N_U.  The two agree: sum rank = 2^(n-1) D - N_E and the bound
-    is 2^(n-1) D - N_U, and ``reduce`` keeps these constraints as they
+    first round of restarts that holds a witness (restart 0 alone, then
+    rounds of 16, 32, ... restarts), and reads the rank-sum inequality
+    sum rank < ``profile.bound`` off the verdict as N_E > N_U.  The two
+    agree: sum rank = 2^(n-1) D - N_E and the bound is 2^(n-1) D - N_U,
+    and ``reduce`` keeps these constraints as they
     are, since no canonical subset contains party 1 (so no two are equal
     or complementary) and every codim is at most D.  A state whose
     2^(n-1) D^3 exceeds MAX_EDGE_WORK, or whose cheapest solve (no

@@ -17,7 +17,9 @@ The restart count is a cap.  A solve whose question has a known answer
 runs its restarts in rounds of FIRST_ROUND, then twice as many each
 round, and stops between rounds once that question is answered: at
 ``generic_count`` distinct solutions, or at one accepted restart when
-the caller asks for a witness.  ``SolveReport.stopped`` names the rule
+the caller asks for a witness.  A witness search first runs restart 0
+alone, which usually answers it, and its rounds of FIRST_ROUND and
+more follow from restart 1.  ``SolveReport.stopped`` names the rule
 that stopped it, or ``budget`` when every restart ran.
 
 A small residual certifies a solution (membership can be checked
@@ -76,7 +78,9 @@ DEFAULT_RESTARTS = 500
 # Restarts in the first round of a solve with a stop rule; each later round
 # runs twice as many as the one before, the last one cut to the cap.  A round
 # costs about as long as its slowest restart, so small rounds pay that tail
-# again and again.
+# again and again.  A witness search runs restart 0 alone before these
+# rounds, which follow from restart 1: one accepted restart answers it, and
+# restart 0 is accepted on most states that have a witness.
 FIRST_ROUND = 16
 
 # Why a solve stopped: the generic count reached, an accepted restart found
@@ -570,12 +574,16 @@ def _check_entries(restarts: int, per_start: int) -> None:
         )
 
 
-def _rounds(restarts: int, staged: bool) -> list[tuple[int, int]]:
-    """The [lo, hi) restart ranges of a solve's rounds: the whole cap as one,
-    or FIRST_ROUND restarts and then twice each round before, up to the cap."""
-    if not staged:
+def _rounds(restarts: int, target: str | None) -> list[tuple[int, int]]:
+    """The [lo, hi) restart ranges of a solve's rounds, up to the cap.  With
+    no stop rule (``target`` None) the cap is one round; otherwise FIRST_ROUND
+    restarts, then twice the round before.  A WITNESS search runs restart 0
+    alone first and starts those rounds at restart 1."""
+    if target is None:
         return [(0, restarts)]
     out, lo, size = [], 0, FIRST_ROUND
+    if target == WITNESS and restarts:
+        out, lo = [(0, 1)], 1
     while lo < restarts:
         out.append((lo, min(lo + size, restarts)))
         lo, size = lo + size, 2 * size
@@ -605,7 +613,9 @@ def solve(
     whose ``generic_count`` is defined stops once its distinct count
     reaches that number; any other spec has no stop rule and runs its
     cap as one round.  With WITNESS the solve stops once a restart is
-    accepted.  The rule is checked between rounds (see ``_rounds``),
+    accepted, and its first round is restart 0 alone: when restart 0 is
+    accepted, its point, as any other schedule or batch ends it, is the
+    one solution.  The rule is checked between rounds (see ``_rounds``),
     never after the last, so the stop point does not depend on the
     batch bound; each round is split into batches under
     MAX_BATCH_ENTRIES.
@@ -627,7 +637,7 @@ def solve(
     rng = philox_stream(seed, 1)
     batch = max(1, MAX_BATCH_ENTRIES // problem.entries_per_start)
     ran, stopped = 0, BUDGET
-    for lo, hi in _rounds(restarts, goal is not None):
+    for lo, hi in _rounds(restarts, None if goal is None else target):
         # a witness needs no dedupe: any accepted restart is one
         if lo and len(found_costs) and (
             goal == 1 or len(_dedupe(found, found_costs, DEDUPE_TOLERANCE)) >= goal

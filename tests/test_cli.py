@@ -286,17 +286,17 @@ class TestCommands:
     @pytest.mark.parametrize(
         "n, samples, seed, digest",
         [
-            (6, 2000, 1, "f479552bba59967c2c593ff88ecd64be9ba5999c6c67df54fc08b466f1a79783"),
-            (8, 1000, 2, "a48614c6a705a3994ebb8d6a758c0200623a5ba6c9ca9f81371561d7f2543723"),
-            (10, 500, 3, "bb776effd744d75d3883ce8cd5913d3164c23fa901b3ca1555e3d3020d6d6ac6"),
-            (13, 300, 4, "119ca3defa723e376a6ce69eec1b6e4a308b3a0a5c3230d372d233abbdd7aad6"),
+            (6, 2000, 1, "6fa9e5054ebc9bcb456df568461b18fd1ed2eda08e58f182d0ef7d1620f16f9a"),
+            (8, 1000, 2, "2f91884489b68ba6d63e69511e68529caf5f36cd0478ff8c8b990d50d18cc53f"),
+            (10, 500, 3, "497f93810e36fd29d4c9d42edb57cfbd3107505e4e77c57ac675c1c6c8dcdcb7"),
+            (13, 300, 4, "ad082790163d4d0761b61e9f1a436b6bf18de88e5fa6e9715efa31b2395fcb38"),
         ],
         ids=["n6", "n8", "n10", "n13"],
     )
     def test_survey_reports_are_pinned(self, capsys, n, samples, seed, digest):
         # the benchmark's survey shapes and n = 13, against the bytes of the
-        # reports before the stacked Glynn walk under schema /9 (only the
-        # schema line differs from /6 to /8): no kernel change may move a
+        # reports before the stacked Glynn walk under schema /10 (only the
+        # schema line differs from /6 to /9): no kernel change may move a
         # histogram
         argv = ["survey", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
         rc, out, _ = run(capsys, argv)
@@ -305,9 +305,10 @@ class TestCommands:
 
     def test_solver_reports_are_pinned(self, capsys, tmp_path):
         # the bytes of one seeded solve and one seeded edge report under the
-        # one-party-at-a-time contractions and the stop rules (schema /9); a
-        # change to the solver's arithmetic moves their last digits and has
-        # to bump cli.SCHEMA.
+        # one-party-at-a-time contractions and the stop rules, a witness
+        # search trying restart 0 alone first (schema /10); a change to the
+        # solver's arithmetic moves their last digits and has to bump
+        # cli.SCHEMA.
         # Printed floats come from numpy's BLAS and LAPACK kernels, so
         # another numpy build may print other last digits.
         crit = tmp_path / "crit.json"
@@ -322,11 +323,11 @@ class TestCommands:
         for argv, digest in (
             (
                 ["solve", str(crit), "--seed", "9", "--restarts", "60"],
-                "dda0db6833406c5d50f60c862dbc757e5864fe9d4a827895208b1befcff97b4b",
+                "93994210d50ce6ffaa6137039db415c1f33e95674d94bc0bbb4630cf9bb3ea13",
             ),
             (
                 ["edge", str(state), "--seed", "5", "--restarts", "40"],
-                "7246adbc5d660fd26fa5a7c6b49af8e902873a2115c00eaba576ec86cfad359c",
+                "833d2a79c80eb3c6be31b728c1e15b7d6088dc3182f5902b260dad2c9ec06425",
             ),
         ):
             rc, out, _ = run(capsys, argv)
@@ -376,7 +377,7 @@ class TestCommands:
         rc, out, err = run(capsys, ["edge", str(path), "--restarts", "0"])
         assert (rc, err) == (0, "")
         assert out == (
-            "schema: prodvec-report/9\n"
+            "schema: prodvec-report/10\n"
             "command: edge\n"
             "seed: 0\n"
             "ppt: true\n"
@@ -423,38 +424,43 @@ class TestCommands:
                      "  top_coefficient: 0", "  restarts: 0", "  solutions: 0"):
             assert line in lines
         assert not any(line.startswith("witness") for line in lines)
-        # at the default cap the first round holds a witness
+        # at the default cap restart 0 alone holds a witness
         rc, out, _ = run(capsys, ["edge", str(path)])
         lines = out.splitlines()
         assert "classification: not-edge" in lines
-        assert "  restarts: 16" in lines and "  stopped: witness" in lines
+        assert "  restarts: 1" in lines and "  stopped: witness" in lines
         assert "witness:" in lines
 
     @pytest.mark.parametrize("command", ["solve", "edge"])
     def test_stop_does_not_depend_on_the_batch_bound(self, capsys, tmp_path, monkeypatch, command):
         # the stop rule is checked between rounds only, so batches of seven
         # restarts stop where one batch per round does, byte for byte; the
-        # (3, 3) count of 6 is reached in the second round at seed 2
+        # (3, 3) count of 6 is reached in the second round at seed 2, and
+        # the witness of this rank-7 separable (2, 2, 2) state, whose restart
+        # 0 fails at seed 2, in its second round (restarts 1 to 16), which
+        # the batch bound splits in three
         if command == "solve":
             path = tmp_path / "count.json"
             path.write_text(json.dumps({"dims": [3, 3], "constraints": [{"subset": [], "codim": 4}]}))
             expected = ("restarts: 48", "stopped: generic-count")
+            codim, batches = 4, [7, 7, 2, 7, 7, 7, 7, 4]
         else:
-            rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+            rng = np.random.Generator(np.random.Philox(key=[48, 0]))
             vectors = [
                 product_vector([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
-                for _ in range(4)
+                for _ in range(7)
             ]
             path = tmp_path / "sep.state"
-            path.write_text(write_state(build_separable(vectors, [0.25] * 4)))
-            expected = ("  restarts: 16", "  stopped: witness")
+            path.write_text(write_state(build_separable(vectors, [1 / 7] * 7)))
+            expected = ("  restarts: 17", "  stopped: witness")
+            codim, batches = 1, [1, 7, 7, 2]
         argv = [command, str(path), "--seed", "2"]
         rc, whole, _ = run(capsys, argv)
         assert rc == 0
         lines = whole.splitlines()
         assert expected == tuple(lines[lines.index(expected[0]) :][:2])
 
-        # both instances have 12 real parameters and a widest codim of 4
+        # both instances have 12 real parameters
         rows, minimize = [], solver._minimize_batch
 
         def counting(problem, factors):
@@ -462,10 +468,10 @@ class TestCommands:
             return minimize(problem, factors)
 
         monkeypatch.setattr(solver, "_minimize_batch", counting)
-        monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 7 * solver._entries_per_start(12, 4))
+        monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 7 * solver._entries_per_start(12, codim))
         rc, chunked, _ = run(capsys, argv)
         assert rc == 0
-        assert max(rows) == 7 and sum(rows) == int(expected[0].split()[-1])
+        assert rows == batches
         assert chunked == whole
 
     @pytest.mark.parametrize("a, b", [(-1, 0), (2**63, 2**63 + 1)])

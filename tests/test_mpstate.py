@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prodvec import mpstate
+from prodvec import mpstate, solver
 from prodvec.errors import ParseError, UnsupportedSizeError
 from prodvec.mpstate import (
     CANDIDATE_EDGE,
@@ -31,12 +31,14 @@ from prodvec.mpstate import (
 )
 from prodvec.solvability import reduce, verdict
 from prodvec.solver import (
+    BUDGET,
     MAX_RESTART_ENTRIES,
     WITNESS,
     SolverConfig,
     SubspaceConstraint,
     product_vector,
     residual,
+    solve,
     spec_of_constraints,
 )
 
@@ -378,12 +380,32 @@ class TestEdgeAnalysis:
         "dims, count", [((2, 2), 3), ((2, 3), 4), ((2, 2, 2), 4), ((2, 2, 3), 5)]
     )
     def test_separable_states_stop_at_a_witness(self, dims, count):
-        # at the default cap of 500 restarts, the first round of 16 holds one
+        # at the default cap of 500 restarts, restart 0 alone holds one
         state = build_separable(random_vectors(count, dims, count), [1 / count] * count)
         report = edge_analysis(state, SolverConfig(seed=1))
         assert report.classification == NOT_EDGE
         assert report.witness is not None
-        assert (report.solve_report.restarts_used, report.solve_report.stopped) == (16, WITNESS)
+        assert (report.solve_report.restarts_used, report.solve_report.stopped) == (1, WITNESS)
+
+    @pytest.mark.parametrize("dims, seed", [((2, 2, 2), 3), ((2, 3), 5)])
+    def test_witness_is_restart_zero_bit_for_bit(self, dims, seed):
+        # the witness stop moves only where a solve stops: the witness is
+        # restart 0's accepted point, as a solve of that one restart finds
+        # it and as row 0 of a batch of 16 ends
+        state = build_separable(random_vectors(seed, dims, 4), [0.25] * 4)
+        report = edge_analysis(state, SolverConfig(restarts=40, seed=seed))
+        assert report.solve_report.restarts_used == 1
+        constraints = [SubspaceConstraint(r.subset, r.complement) for r in report.profile.records]
+        (alone,) = solve(constraints, dims, SolverConfig(restarts=1, seed=seed)).solutions
+        problem = solver._Problem(dims, constraints)
+        rng = solver.philox_stream(seed, 1)
+        starts = problem.complex_factors(rng.standard_normal((16, problem.n_params)))
+        factors, costs, _ = solver._minimize_batch(problem, starts)
+        assert costs[0] < SolverConfig().accept_threshold
+        row0 = solver._canonical([f[:1] for f in factors])
+        for w, a, b in zip(report.witness.factors, alone.vector.factors, row0):
+            assert np.array_equal(w, a)
+            assert np.array_equal(w, b[0])
 
     def test_no_witness_classified_from_the_verdict(self):
         # without restarts, a verdict that certifies existence gives not-edge
@@ -410,6 +432,8 @@ class TestEdgeAnalysis:
         report = edge_analysis(tiles_upb(), SolverConfig(seed=seed))
         assert report.ppt
         assert report.classification == CANDIDATE_EDGE
+        # with no witness, every round of the default cap runs
+        assert (report.solve_report.restarts_used, report.solve_report.stopped) == (500, BUDGET)
         assert [r.rank for r in report.profile.records] == [4, 4]
         assert (report.decision.n_equations, report.decision.n_unknowns) == (10, 4)
         assert report.inequality_satisfied

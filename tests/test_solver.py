@@ -433,10 +433,18 @@ class TestSolve:
 
 class TestStop:
     def test_rounds(self):
-        assert solver._rounds(120, True) == [(0, 16), (16, 48), (48, 112), (112, 120)]
-        assert solver._rounds(10, True) == [(0, 10)]
-        assert solver._rounds(0, True) == []
-        assert solver._rounds(120, False) == [(0, 120)]
+        assert solver._rounds(120, GENERIC_COUNT) == [(0, 16), (16, 48), (48, 112), (112, 120)]
+        assert solver._rounds(10, GENERIC_COUNT) == [(0, 10)]
+        assert solver._rounds(0, GENERIC_COUNT) == []
+        assert solver._rounds(120, None) == [(0, 120)]
+        # a witness search runs restart 0 alone, then the same rounds from 1
+        assert solver._rounds(120, WITNESS) == [(0, 1), (1, 17), (17, 49), (49, 113), (113, 120)]
+        assert solver._rounds(solver.DEFAULT_RESTARTS, WITNESS) == [
+            (0, 1), (1, 17), (17, 49), (49, 113), (113, 241), (241, 497), (497, 500)
+        ]
+        assert solver._rounds(10, WITNESS) == [(0, 1), (1, 10)]
+        assert solver._rounds(1, WITNESS) == [(0, 1)]
+        assert solver._rounds(0, WITNESS) == []
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generic_count_stops_the_default_cap(self, seed):
@@ -454,16 +462,21 @@ class TestStop:
         assert report.distinct_count == 2
         assert (report.restarts_used, report.stopped) == (16, BUDGET)
 
-    def test_witness_stops_at_the_first_round_with_an_accepted_restart(self):
+    @pytest.mark.parametrize("seed, stop", [(101, 1), (102, 17)])
+    def test_witness_stops_at_the_first_round_with_an_accepted_restart(self, seed, stop):
+        # restart 0 is accepted at seed 101 and not at seed 102, whose
+        # second round, restarts 1 to 16, holds one
         dims, cons = MIXED
-        constraints = random_instance(problem_spec(dims, cons), 101)
-        cfg = SolverConfig(restarts=150, seed=101)
+        constraints = random_instance(problem_spec(dims, cons), seed)
+        cfg = SolverConfig(restarts=150, seed=seed)
         whole = solve(constraints, dims, cfg)
         assert (whole.restarts_used, whole.stopped) == (150, BUDGET)
         report = solve(constraints, dims, cfg, target=WITNESS)
-        assert (report.restarts_used, report.stopped) == (16, WITNESS)
+        assert (report.restarts_used, report.stopped) == (stop, WITNESS)
         assert report.solutions
-        assert sum(report.exit_reasons.values()) == 16
+        assert sum(report.exit_reasons.values()) == stop
+        alone = solve(constraints, dims, SolverConfig(restarts=1, seed=seed))
+        assert len(alone.solutions) == (stop == 1)
 
     def test_unknown_target_refused(self):
         dims, cons = MIXED
